@@ -2,15 +2,14 @@
 // transactions vs a concurrent IRA reorganization, locked baseline
 // against the zero-lock snapshot path, swept over reorg worker counts.
 //
-// The locked baseline reproduces the reader-vs-migration stall this PR
-// removes: every read step queues in the lock manager, so each
-// additional migration worker means more exclusive locks for readers to
-// collide with — reader throughput sags and p99 stretches as workers
-// grow. With latchfree_reads on, readers never touch the lock manager:
-// they pin an epoch, chase the relocation table past in-flight
-// migrations, and snapshot under the per-object latch only, so reader
-// throughput holds (or improves, as the reorganization gets out of the
-// way sooner) from 1 through 8 workers.
+// In the locked baseline every read step goes through the lock manager
+// and may queue behind a migration's exclusive locks. With
+// latchfree_reads on, readers never touch the lock manager: they pin an
+// epoch, chase the relocation table past in-flight migrations, and
+// snapshot under the per-object latch only. Read-only commits pay no log
+// force, so the rows measure the read path itself: both modes hold flat
+// from 1 through 8 workers and the latch-free path is ~1.5x faster
+// (EXPERIMENTS.md).
 //
 // Emits BENCH_latchfree_reads.json in the working directory.
 

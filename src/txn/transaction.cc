@@ -309,21 +309,28 @@ Status Transaction::Commit() {
   // and restart recovery undoes it from the stable log.
   BRAHMA_FAILPOINT(source_ == LogSource::kReorg ? "txn:reorg-commit:begin"
                                                 : "txn:commit:begin");
-  LogRecord rec;
-  rec.type = LogRecordType::kCommit;
-  Lsn lsn = AppendOwn(std::move(rec));
-  // Crash after the commit record is appended but before the force: the
-  // record is discarded unless a concurrent committer's flush already
-  // made it stable — both outcomes are legal recovery inputs.
-  BRAHMA_FAILPOINT(source_ == LogSource::kReorg
-                       ? "txn:reorg-commit:before-flush"
-                       : "txn:commit:before-flush");
-  // Group-commit force: may batch with concurrent committers. A crash
-  // injected between the device force and the durability acknowledgement
-  // propagates here — the transaction is NOT committed (recovery decides
-  // its fate from the stable log) and the caller abandons it.
-  Status fs = ctx_.log->ForceCommit(lsn);
-  if (!fs.ok()) return fs;
+  // A transaction that logged nothing commits without touching the log
+  // (DESIGN.md §9): recovery never saw it, and under strict 2PL every
+  // byte it read under a lock was already stable when the writer released
+  // that lock, so there is nothing for a commit record or a force to make
+  // durable.
+  if (last_lsn_ != kInvalidLsn) {
+    LogRecord rec;
+    rec.type = LogRecordType::kCommit;
+    Lsn lsn = AppendOwn(std::move(rec));
+    // Crash after the commit record is appended but before the force: the
+    // record is discarded unless a concurrent committer's flush already
+    // made it stable — both outcomes are legal recovery inputs.
+    BRAHMA_FAILPOINT(source_ == LogSource::kReorg
+                         ? "txn:reorg-commit:before-flush"
+                         : "txn:commit:before-flush");
+    // Group-commit force: may batch with concurrent committers. A crash
+    // injected between the device force and the durability acknowledgement
+    // propagates here — the transaction is NOT committed (recovery decides
+    // its fate from the stable log) and the caller abandons it.
+    Status fs = ctx_.log->ForceCommit(lsn);
+    if (!fs.ok()) return fs;
+  }
   state_ = State::kCommitted;
   // Side effects become permanent with the transaction: pending entries
   // are dropped, compensable ones kept for a later committed reversal.
@@ -346,9 +353,12 @@ Status Transaction::Abort() {
   // read the parent lists / ERTs, and they must already be back to the
   // pre-migration state.
   if (side_effect_log_ != nullptr) side_effect_log_->ReplayPendingFor(id_);
-  LogRecord rec;
-  rec.type = LogRecordType::kAbort;
-  AppendOwn(std::move(rec));
+  // Like Commit: a transaction the log never saw leaves no abort record.
+  if (last_lsn_ != kInvalidLsn) {
+    LogRecord rec;
+    rec.type = LogRecordType::kAbort;
+    AppendOwn(std::move(rec));
+  }
   state_ = State::kAborted;
   mgr_->OnComplete(this, /*committed=*/false);
   return Status::Ok();

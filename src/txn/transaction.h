@@ -106,6 +106,10 @@ class Transaction {
   Status FreeObject(ObjectId oid);
 
   // --- completion ----------------------------------------------------------
+  // Commit appends a commit record and waits for the group-commit force;
+  // Abort undoes every update and appends an abort record. A transaction
+  // that logged nothing does neither: it appends no record and never
+  // forces (DESIGN.md §9). Both release the locks on completion.
   Status Commit();
   Status Abort();
 

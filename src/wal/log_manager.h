@@ -21,10 +21,12 @@ class DiskLog;
 // Write-ahead log. Transactions follow the WAL protocol of the paper
 // (Section 2): the undo value is logged before the update is performed;
 // the redo value may be logged any time before the lock on the object is
-// released. Commit forces the log to "disk" — a configurable flush
-// latency models the commit-time I/O that gives the paper's systems CPU /
-// I/O parallelism (Section 5.3.1: throughput does not peak at MPL 1
-// because logs are flushed to disk at commit time).
+// released. Committing a transaction that logged anything forces the log
+// to "disk" — a configurable flush latency models the commit-time I/O
+// that gives the paper's systems CPU / I/O parallelism (Section 5.3.1:
+// throughput does not peak at MPL 1 because logs are flushed to disk at
+// commit time). A transaction that logged nothing never reaches the log
+// at all: no commit record, no force (DESIGN.md §9).
 //
 // The log also feeds the log analyzer (paper Section 3.3): an optional
 // append observer sees every record the moment it is handed to the

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -217,6 +218,137 @@ TEST_F(GroupCommitTest, GroupCommitOffIsStillDurable) {
   db.SimulateCrash();
   ASSERT_TRUE(db.Recover().ok());
   EXPECT_TRUE(db.store().Validate(oid));
+}
+
+// The commit record of `txn`, searched forward from its first record.
+Lsn CommitLsnOf(LogManager& log, TxnId txn, Lsn from) {
+  const Lsn last = log.last_lsn();
+  for (Lsn lsn = from; lsn <= last; ++lsn) {
+    LogRecord rec;
+    if (log.GetRecord(lsn, &rec) && rec.txn == txn &&
+        rec.type == LogRecordType::kCommit) {
+      return lsn;
+    }
+  }
+  return kInvalidLsn;
+}
+
+TEST_F(GroupCommitTest, ReadOnlyCommitsRaceWritersWithoutForcing) {
+  // Read-only committers race writers through the group-commit daemon.
+  // Readers append nothing, so they never lead or join a batch; writers
+  // still see their commit record stable when Commit returns. Each writer
+  // stamps its payload with (txn id, first LSN), so a reader that S-locks
+  // the object right after the writer released X can find the writer's
+  // commit record and check the safety argument of DESIGN.md §9: strict
+  // 2PL releases X only after the force, so the reader finds it stable.
+  DatabaseOptions dopt = testing::SmallDbOptions();
+  dopt.commit_flush_latency = std::chrono::milliseconds(1);
+  dopt.group_commit = true;
+  Database db(dopt);
+  LogManager& log = db.log();
+
+  constexpr int kWriters = 3;
+  constexpr int kReaders = 3;
+  constexpr int kCommitsPerWriter = 40;
+  constexpr uint32_t kPayload = 16;
+  std::vector<ObjectId> objs(kWriters);
+  {
+    auto setup = db.Begin();
+    for (ObjectId& o : objs) {
+      ASSERT_TRUE(setup->CreateObject(1, 0, kPayload, &o).ok());
+    }
+    ASSERT_TRUE(setup->Commit().ok());
+  }
+  const uint64_t batches0 = log.group_commit_batches();
+  const uint64_t absorbed0 = log.group_commit_forces_absorbed();
+
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int> writer_commits{0};
+  std::atomic<int> reader_commits{0};
+  std::atomic<int> stamped_reads{0};
+  std::atomic<int> violations{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kCommitsPerWriter; ++i) {
+        auto txn = db.Begin();
+        if (!txn->Lock(objs[w], LockMode::kExclusive).ok() ||
+            !txn->WriteData(objs[w], std::vector<uint8_t>(kPayload)).ok()) {
+          ++violations;
+          break;
+        }
+        std::vector<uint8_t> stamp(kPayload);
+        const TxnId id = txn->id();
+        const Lsn first = txn->first_lsn();
+        std::memcpy(stamp.data(), &id, sizeof(id));
+        std::memcpy(stamp.data() + sizeof(id), &first, sizeof(first));
+        if (!txn->WriteData(objs[w], stamp).ok() || !txn->Commit().ok()) {
+          ++violations;
+          break;
+        }
+        const Lsn stable = log.stable_lsn();
+        const Lsn commit = CommitLsnOf(log, id, first);
+        if (commit == kInvalidLsn || commit > stable) ++violations;
+        ++writer_commits;
+      }
+      --writers_left;
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      while (writers_left.load() > 0) {
+        auto txn = db.Begin();
+        for (ObjectId o : objs) {
+          if (!txn->Lock(o, LockMode::kShared).ok()) {
+            ++violations;
+            return;
+          }
+          const Lsn stable = log.stable_lsn();
+          std::vector<uint8_t> data;
+          if (!txn->ReadData(o, &data).ok() || data.size() != kPayload) {
+            ++violations;
+            return;
+          }
+          TxnId writer;
+          Lsn first;
+          std::memcpy(&writer, data.data(), sizeof(writer));
+          std::memcpy(&first, data.data() + sizeof(writer), sizeof(first));
+          if (writer == 0) continue;  // not yet written by any writer
+          const Lsn commit = CommitLsnOf(log, writer, first);
+          if (commit == kInvalidLsn || commit > stable) ++violations;
+          ++stamped_reads;
+        }
+        if (!txn->Commit().ok()) {
+          ++violations;
+          return;
+        }
+        ++reader_commits;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(writer_commits.load(), kWriters * kCommitsPerWriter);
+  EXPECT_GT(reader_commits.load(), 0);
+  EXPECT_GT(stamped_reads.load(), 0);
+  // Every batch leader and absorbed waiter was a writer.
+  EXPECT_LE((log.group_commit_batches() - batches0) +
+                (log.group_commit_forces_absorbed() - absorbed0),
+            static_cast<uint64_t>(writer_commits.load()));
+
+  // Readers alone never reach the daemon.
+  const uint64_t batches1 = log.group_commit_batches();
+  const uint64_t absorbed1 = log.group_commit_forces_absorbed();
+  const Lsn last1 = log.last_lsn();
+  for (int i = 0; i < 100; ++i) {
+    auto txn = db.Begin();
+    ASSERT_TRUE(txn->Lock(objs[i % kWriters], LockMode::kShared).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  EXPECT_EQ(log.group_commit_batches(), batches1);
+  EXPECT_EQ(log.group_commit_forces_absorbed(), absorbed1);
+  EXPECT_EQ(log.last_lsn(), last1);
 }
 
 }  // namespace

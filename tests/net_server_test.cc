@@ -34,14 +34,18 @@ using net::TraverseRequest;
 // Database + built Section 5.2 graph + running server, torn down in
 // reverse order.
 struct ServerHarness {
+  // commit_force is the modeled commit force the server runs with; the
+  // graph is built before it applies.
   explicit ServerHarness(uint32_t data_partitions = 4,
                          uint32_t graph_partitions = 2,
-                         ReorgThrottle* throttle = nullptr)
+                         ReorgThrottle* throttle = nullptr,
+                         std::chrono::microseconds commit_force = {})
       : db(testing::SmallDbOptions(data_partitions)) {
     params = testing::SmallWorkload(graph_partitions);
     GraphBuilder builder(&db);
     Status s = builder.Build(params, &graph);
     EXPECT_TRUE(s.ok()) << s.ToString();
+    db.log().set_flush_latency(commit_force);
     ServerOptions opts;
     opts.num_workers = 2;
     opts.graph = &graph;
@@ -133,6 +137,37 @@ TEST(NetServerTest, TransactionLifecycle) {
   ASSERT_TRUE(c.Abort().ok());
   ASSERT_TRUE(c.Read(root, nullptr, &data).ok());
   EXPECT_EQ(data, payload);
+  c.Close();
+}
+
+TEST(NetServerTest, ReadOnlySessionsSkipTheCommitForce) {
+  // Under a 50 ms modeled force, read-only work never waits for one: a
+  // Begin/Read/Commit session and an auto-commit Read both log nothing.
+  constexpr auto kForce = std::chrono::milliseconds(50);
+  ServerHarness h(4, 2, nullptr, kForce);
+  NetClient c = h.MakeClient();
+  const ObjectId root = h.graph.cluster_roots[0][0];
+  const Lsn last = h.db.log().last_lsn();
+  std::vector<ObjectId> refs;
+  std::vector<uint8_t> data;
+
+  auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(c.Begin(nullptr).ok());
+  ASSERT_TRUE(c.Read(root, &refs, &data).ok());
+  ASSERT_TRUE(c.Commit().ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, kForce);
+
+  t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(c.Read(root, &refs, &data).ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, kForce);
+  EXPECT_EQ(h.db.log().last_lsn(), last);
+
+  // A served write still pays the force.
+  t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(c.Begin(nullptr).ok());
+  ASSERT_TRUE(c.Update(root, data).ok());
+  ASSERT_TRUE(c.Commit().ok());
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, kForce);
   c.Close();
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "core/database.h"
 #include "tests/test_util.h"
 
@@ -217,6 +218,100 @@ TEST_F(TransactionTest, CommitFlushesLog) {
   txn->Commit();
   EXPECT_GT(db_.log().stable_lsn(), before);
   EXPECT_EQ(db_.log().stable_lsn(), db_.log().last_lsn());
+}
+
+// Read-only transactions leave no trace in the log (DESIGN.md §9): no
+// commit record, no force, no abort record. The 50 ms modeled force makes
+// "did not wait for a force" visible in wall time.
+class ReadOnlyTxnTest : public ::testing::Test {
+ protected:
+  static constexpr auto kForce = std::chrono::milliseconds(50);
+
+  ReadOnlyTxnTest() : db_(SlowForceOptions()) {
+    auto setup = db_.Begin();
+    EXPECT_TRUE(setup->CreateObject(1, 2, 16, &a_).ok());
+    EXPECT_TRUE(setup->CreateObject(1, 2, 16, &b_).ok());
+    EXPECT_TRUE(setup->Commit().ok());
+  }
+  void TearDown() override { FailPoints::Instance().Reset(); }
+
+  static DatabaseOptions SlowForceOptions() {
+    DatabaseOptions opt = testing::SmallDbOptions();
+    opt.commit_flush_latency = kForce;
+    return opt;
+  }
+
+  // S-locks and reads both objects.
+  void ReadBoth(Transaction* txn) {
+    std::vector<ObjectId> refs;
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(txn->Lock(a_, LockMode::kShared).ok());
+    ASSERT_TRUE(txn->ReadRefs(a_, &refs).ok());
+    ASSERT_TRUE(txn->Lock(b_, LockMode::kShared).ok());
+    ASSERT_TRUE(txn->ReadData(b_, &bytes).ok());
+  }
+
+  Database db_;
+  ObjectId a_, b_;
+};
+
+TEST_F(ReadOnlyTxnTest, CommitSkipsRecordAndForce) {
+  auto txn = db_.Begin();
+  TxnId id = txn->id();
+  ReadBoth(txn.get());
+  ASSERT_EQ(txn->first_lsn(), kInvalidLsn);
+  const Lsn last = db_.log().last_lsn();
+  const Lsn stable = db_.log().stable_lsn();
+  const uint64_t batches = db_.log().group_commit_batches();
+
+  auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(txn->Commit().ok());
+  auto elapsed = std::chrono::steady_clock::now() - t0;
+
+  EXPECT_LT(elapsed, kForce / 2);
+  EXPECT_EQ(txn->state(), Transaction::State::kCommitted);
+  EXPECT_EQ(db_.log().last_lsn(), last);
+  EXPECT_EQ(db_.log().stable_lsn(), stable);
+  EXPECT_EQ(db_.log().group_commit_batches(), batches);
+  EXPECT_FALSE(db_.locks().IsHeld(id, a_));
+  EXPECT_FALSE(db_.locks().IsHeld(id, b_));
+  EXPECT_EQ(db_.locks().NumLockedObjects(), 0u);
+  EXPECT_FALSE(db_.txns().IsActive(id));
+}
+
+TEST_F(ReadOnlyTxnTest, AbortAppendsNothing) {
+  auto txn = db_.Begin();
+  TxnId id = txn->id();
+  ReadBoth(txn.get());
+  const Lsn last = db_.log().last_lsn();
+  const size_t records = db_.log().NumRecords();
+  ASSERT_TRUE(txn->Abort().ok());
+  EXPECT_EQ(txn->state(), Transaction::State::kAborted);
+  EXPECT_EQ(db_.log().last_lsn(), last);
+  EXPECT_EQ(db_.log().NumRecords(), records);
+  EXPECT_EQ(db_.locks().NumLockedObjects(), 0u);
+  EXPECT_FALSE(db_.txns().IsActive(id));
+}
+
+TEST_F(ReadOnlyTxnTest, CommitBeginFailpointStillFires) {
+  // txn:commit:begin fires on every commit; txn:commit:before-flush only
+  // when a commit record was appended.
+  FailPoints& fp = FailPoints::Instance();
+  fp.Reset();
+  fp.set_tracing(true);
+  auto txn = db_.Begin();
+  ReadBoth(txn.get());
+  ASSERT_TRUE(txn->Commit().ok());
+  EXPECT_EQ(fp.hits("txn:commit:begin"), 1u);
+  EXPECT_EQ(fp.hits("txn:commit:before-flush"), 0u);
+
+  // An armed begin site still fails a read-only commit.
+  ASSERT_TRUE(fp.ArmFromString("txn:commit:begin=error(aborted)").ok());
+  auto failed = db_.Begin();
+  ReadBoth(failed.get());
+  EXPECT_FALSE(failed->Commit().ok());
+  EXPECT_EQ(failed->state(), Transaction::State::kActive);
+  ASSERT_TRUE(failed->Abort().ok());
 }
 
 TEST_F(TransactionTest, EarlyUnlockAllowed) {
