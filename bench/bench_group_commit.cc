@@ -43,7 +43,8 @@ void Run() {
   std::printf("# Group commit + claim wakeup + adaptive workers — reorg "
               "wall-clock and user p99 vs num_workers\n");
   PrintSeriesHeader("mode", {"workers", "reorg_ms", "user_tps", "user_p99_ms",
-                             "batches", "absorbed", "claim_wakeups",
+                             "batches", "absorbed", "commits_per_force",
+                             "gathers", "gather_timeouts", "claim_wakeups",
                              "shed", "added"});
   JsonBenchWriter json("group_commit");
   // mode 0 = PR 2 baseline (everything off), mode 1 = full stack on.
@@ -58,11 +59,21 @@ void Run() {
       cfg.ira.claim_wakeup = gc != 0;
       cfg.ira.adaptive_workers = gc != 0;
       ExperimentResult r = RunExperiment(cfg);
+      const double batches =
+          static_cast<double>(r.reorg.group_commit_batches);
+      const double absorbed = static_cast<double>(r.reorg.forces_absorbed);
+      // Commits made durable per device force (0 without group commit,
+      // where the daemon counts nothing).
+      const double per_force =
+          batches > 0 ? (batches + absorbed) / batches : 0;
+      const double gathers =
+          static_cast<double>(r.reorg.group_commit_gathers);
+      const double gather_timeouts =
+          static_cast<double>(r.reorg.group_commit_gather_timeouts);
       PrintSeriesRow(gc, {static_cast<double>(w), r.reorg_duration_ms,
                           r.driver.throughput_tps(),
-                          r.driver.response_ms.Percentile(0.99),
-                          static_cast<double>(r.reorg.group_commit_batches),
-                          static_cast<double>(r.reorg.forces_absorbed),
+                          r.driver.response_ms.Percentile(0.99), batches,
+                          absorbed, per_force, gathers, gather_timeouts,
                           static_cast<double>(r.reorg.claim_wakeups),
                           static_cast<double>(r.reorg.workers_shed),
                           static_cast<double>(r.reorg.workers_added)});
@@ -76,10 +87,11 @@ void Run() {
       json.Add("user_art_ms", r.driver.response_ms.mean());
       json.Add("objects_migrated",
                static_cast<double>(r.reorg.objects_migrated));
-      json.Add("group_commit_batches",
-               static_cast<double>(r.reorg.group_commit_batches));
-      json.Add("forces_absorbed",
-               static_cast<double>(r.reorg.forces_absorbed));
+      json.Add("group_commit_batches", batches);
+      json.Add("forces_absorbed", absorbed);
+      json.Add("commits_per_force", per_force);
+      json.Add("group_commit_gathers", gathers);
+      json.Add("group_commit_gather_timeouts", gather_timeouts);
       json.Add("claim_deferrals",
                static_cast<double>(r.reorg.claim_deferrals));
       json.Add("claim_wakeups", static_cast<double>(r.reorg.claim_wakeups));

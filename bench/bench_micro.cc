@@ -1,11 +1,18 @@
 // Microbenchmarks (google-benchmark) for the substrate primitives: the
 // extendible hash index backing the ERT/TRT, object latches, lock
-// manager acquire/release, partition allocation, WAL append, and the
-// fuzzy traversal over a paper-scale partition.
+// manager acquire/release, partition allocation, WAL append, the
+// group-commit force under a closed loop of committers, and the fuzzy
+// traversal over a paper-scale partition.
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
+
 #include "common/failpoint.h"
+#include "common/params.h"
 #include "core/database.h"
 #include "core/fuzzy_traversal.h"
 #include "index/extendible_hash.h"
@@ -131,6 +138,54 @@ void BM_InactiveFailpointCheck(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InactiveFailpointCheck);
+
+// Batch alignment in the group-commit force (DESIGN.md §9), on a bare
+// LogManager with the modeled kCommitForceLatency force: 4 committers in
+// a closed loop each "work" for `work` (a sleep), append a record and
+// force it, passing their Begin-to-commit time. With work shorter than a
+// force the released batch comes back before the next force could end,
+// so the flusher holds for it and commits_per_force approaches 4. With
+// work longer than a force nobody is ever held (gathers must be 0).
+void BM_GroupCommitClosedLoop(benchmark::State& state,
+                              std::chrono::microseconds work) {
+  constexpr int kCommitters = 4;
+  constexpr int kCommitsPerCommitter = 25;
+  LogManager log(kCommitForceLatency);
+  log.set_group_commit(true);
+  for (auto _ : state) {
+    std::vector<std::thread> committers;
+    for (int c = 0; c < kCommitters; ++c) {
+      committers.emplace_back([&log, work] {
+        LogRecord rec;
+        rec.type = LogRecordType::kCommit;
+        for (int i = 0; i < kCommitsPerCommitter; ++i) {
+          const auto begun = std::chrono::steady_clock::now();
+          std::this_thread::sleep_for(work);
+          const Lsn lsn = log.Append(rec);
+          log.ForceCommit(lsn, std::chrono::steady_clock::now() - begun);
+        }
+      });
+    }
+    for (std::thread& t : committers) t.join();
+  }
+  const double batches = static_cast<double>(log.group_commit_batches());
+  const double commits =
+      batches + static_cast<double>(log.group_commit_forces_absorbed());
+  state.SetItemsProcessed(static_cast<int64_t>(commits));
+  state.counters["commits_per_force"] = batches > 0 ? commits / batches : 0;
+  state.counters["gathers"] =
+      static_cast<double>(log.group_commit_gathers());
+  state.counters["gather_timeouts"] =
+      static_cast<double>(log.group_commit_gather_timeouts());
+}
+BENCHMARK_CAPTURE(BM_GroupCommitClosedLoop, short_work,
+                  std::chrono::microseconds(50))
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GroupCommitClosedLoop, long_work,
+                  std::chrono::microseconds(2000))
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FuzzyTraversalPartition(benchmark::State& state) {
   DatabaseOptions dopt;

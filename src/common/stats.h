@@ -60,6 +60,10 @@ struct ReorgStats {
   // whose durability was covered by another committer's force.
   std::atomic<uint64_t> group_commit_batches{0};
   std::atomic<uint64_t> forces_absorbed{0};
+  // Batch alignment (same deltas): flushers that held their force for
+  // returning committers, and holds that ended at the one-force bound.
+  std::atomic<uint64_t> group_commit_gathers{0};
+  std::atomic<uint64_t> group_commit_gather_timeouts{0};
   // Claim-aware pipeline scheduling: deferred migrations woken exactly by
   // the release of the footprint claim that blocked them (vs the blind
   // retry timer when claim wakeup is disabled).
@@ -127,6 +131,9 @@ struct ReorgStats {
     side_effects_compensated.store(other.side_effects_compensated.load());
     group_commit_batches.store(other.group_commit_batches.load());
     forces_absorbed.store(other.forces_absorbed.load());
+    group_commit_gathers.store(other.group_commit_gathers.load());
+    group_commit_gather_timeouts.store(
+        other.group_commit_gather_timeouts.load());
     claim_wakeups.store(other.claim_wakeups.load());
     workers_shed.store(other.workers_shed.load());
     workers_added.store(other.workers_added.load());

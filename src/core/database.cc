@@ -249,8 +249,12 @@ Status Database::Recover(ReorgStats* stats) {
   if (!s.ok()) return s;
   if (disk_log_ != nullptr) {
     // Undo of losers appended CLR/abort records; make them durable
-    // before the database is reopened for business.
+    // before the database is reopened for business. A failed force
+    // leaves them behind stable_lsn_, as in Checkpoint.
     log_->Flush(log_->last_lsn());
+    if (log_->stable_lsn() < log_->last_lsn()) {
+      return Status::Internal("recovery log force failed");
+    }
   }
   RebuildErts(store_.get(), erts_.get());
   analyzer_->SkipToEnd();

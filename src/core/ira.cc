@@ -55,6 +55,9 @@ Status IraReorganizer::Run(PartitionId p, RelocationPlanner* planner,
   const uint64_t gc_batches_before = ctx_.log->group_commit_batches();
   const uint64_t gc_absorbed_before =
       ctx_.log->group_commit_forces_absorbed();
+  const uint64_t gc_gathers_before = ctx_.log->group_commit_gathers();
+  const uint64_t gc_timeouts_before =
+      ctx_.log->group_commit_gather_timeouts();
   const uint64_t fsyncs_before = ctx_.log->fsyncs();
   const uint64_t media_faults_before =
       MediaFaultInjector::Instance().faults_injected();
@@ -72,13 +75,6 @@ Status IraReorganizer::Run(PartitionId p, RelocationPlanner* planner,
   const uint64_t pm_before = pool != nullptr ? pool->pool_misses() : 0;
   const uint64_t fe_before = pool != nullptr ? pool->frames_evicted() : 0;
   const uint64_t dw_before = pool != nullptr ? pool->dirty_writebacks() : 0;
-  const DeadlockPolicy saved_policy = ctx_.locks->deadlock_policy();
-  if (options.wait_die) {
-    ctx_.locks->set_deadlock_policy(DeadlockPolicy::kWaitDie);
-  }
-  auto restore_policy = MakeCleanup([this, saved_policy] {
-    ctx_.locks->set_deadlock_policy(saved_policy);
-  });
 
   // Start collecting pointer inserts/deletes for the partition. Sync
   // first so pre-reorganization history (already reflected in the graph
@@ -125,6 +121,10 @@ Status IraReorganizer::Run(PartitionId p, RelocationPlanner* planner,
       ctx_.log->group_commit_batches() - gc_batches_before;
   stats->forces_absorbed +=
       ctx_.log->group_commit_forces_absorbed() - gc_absorbed_before;
+  stats->group_commit_gathers +=
+      ctx_.log->group_commit_gathers() - gc_gathers_before;
+  stats->group_commit_gather_timeouts +=
+      ctx_.log->group_commit_gather_timeouts() - gc_timeouts_before;
   // Durability deltas (kInMemory mode contributes zeros): real fsyncs
   // the run's commits paid, and media faults the file layer injected
   // while the run overlapped them.
@@ -175,6 +175,9 @@ Status IraReorganizer::Resume(const ReorgCheckpoint& checkpoint,
   const uint64_t gc_batches_before = ctx_.log->group_commit_batches();
   const uint64_t gc_absorbed_before =
       ctx_.log->group_commit_forces_absorbed();
+  const uint64_t gc_gathers_before = ctx_.log->group_commit_gathers();
+  const uint64_t gc_timeouts_before =
+      ctx_.log->group_commit_gather_timeouts();
   const uint64_t fsyncs_before = ctx_.log->fsyncs();
   const uint64_t media_faults_before =
       MediaFaultInjector::Instance().faults_injected();
@@ -192,13 +195,6 @@ Status IraReorganizer::Resume(const ReorgCheckpoint& checkpoint,
   const uint64_t pm_before = pool != nullptr ? pool->pool_misses() : 0;
   const uint64_t fe_before = pool != nullptr ? pool->frames_evicted() : 0;
   const uint64_t dw_before = pool != nullptr ? pool->dirty_writebacks() : 0;
-  const DeadlockPolicy saved_policy = ctx_.locks->deadlock_policy();
-  if (options.wait_die) {
-    ctx_.locks->set_deadlock_policy(DeadlockPolicy::kWaitDie);
-  }
-  auto restore_policy = MakeCleanup([this, saved_policy] {
-    ctx_.locks->set_deadlock_policy(saved_policy);
-  });
   const PartitionId p = checkpoint.partition;
   const bool strict = ctx_.txns->ctx().strict_2pl;
 
@@ -276,6 +272,10 @@ Status IraReorganizer::Resume(const ReorgCheckpoint& checkpoint,
       ctx_.log->group_commit_batches() - gc_batches_before;
   stats->forces_absorbed +=
       ctx_.log->group_commit_forces_absorbed() - gc_absorbed_before;
+  stats->group_commit_gathers +=
+      ctx_.log->group_commit_gathers() - gc_gathers_before;
+  stats->group_commit_gather_timeouts +=
+      ctx_.log->group_commit_gather_timeouts() - gc_timeouts_before;
   // Durability deltas (kInMemory mode contributes zeros): real fsyncs
   // the run's commits paid, and media faults the file layer injected
   // while the run overlapped them.

@@ -106,14 +106,6 @@ struct IraOptions {
   // SLO. Ignored by the sequential path (num_workers <= 1). The pointer
   // must outlive Run/Resume.
   ReorgThrottle* throttle = nullptr;
-
-  // Ablation knob: run this reorganization under wait-die deadlock
-  // handling instead of the session's DeadlockPolicy (the non-graph
-  // baseline for bench_deadlock). The LockManager policy is switched for
-  // the duration of Run/Resume and restored on exit — note it is a
-  // process-wide setting, so concurrent user transactions feel it too,
-  // exactly like the real knob would behave.
-  bool wait_die = false;
 };
 
 // The Incremental Reorganization Algorithm (paper Section 3): migrates

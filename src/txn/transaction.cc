@@ -324,11 +324,13 @@ Status Transaction::Commit() {
     BRAHMA_FAILPOINT(source_ == LogSource::kReorg
                          ? "txn:reorg-commit:before-flush"
                          : "txn:commit:before-flush");
-    // Group-commit force: may batch with concurrent committers. A crash
+    // Group-commit force: may batch with concurrent committers, aligned
+    // on how long this transaction worked before asking. A crash
     // injected between the device force and the durability acknowledgement
     // propagates here — the transaction is NOT committed (recovery decides
     // its fate from the stable log) and the caller abandons it.
-    Status fs = ctx_.log->ForceCommit(lsn);
+    Status fs = ctx_.log->ForceCommit(
+        lsn, std::chrono::steady_clock::now() - begun_);
     if (!fs.ok()) return fs;
   }
   state_ = State::kCommitted;

@@ -175,6 +175,10 @@ class Transaction {
   // Read by the log truncation path from other threads.
   std::atomic<Lsn> first_lsn_{kInvalidLsn};
   Lsn last_lsn_ = kInvalidLsn;
+  // Begin time; Commit hands Begin-to-commit work to the group-commit
+  // force, which aligns batches on it (DESIGN.md §9).
+  const std::chrono::steady_clock::time_point begun_ =
+      std::chrono::steady_clock::now();
 
   std::unordered_set<ObjectId> held_;
   std::vector<ObjectId> ever_locked_;

@@ -23,12 +23,14 @@ Lsn LogManager::Append(LogRecord record) {
   return lsn;
 }
 
-Status LogManager::DevicePay() {
+Status LogManager::DevicePay(std::chrono::nanoseconds* took) {
+  const auto start = std::chrono::steady_clock::now();
   if (flush_latency_.count() > 0) {
     std::this_thread::sleep_for(flush_latency_);
   }
-  if (dlog_ != nullptr) return dlog_->Force();
-  return Status::Ok();
+  Status s = dlog_ != nullptr ? dlog_->Force() : Status::Ok();
+  *took = std::chrono::steady_clock::now() - start;
+  return s;
 }
 
 void LogManager::Flush(Lsn target) { FlushInternal(target); }
@@ -51,15 +53,17 @@ Status LogManager::FlushInternal(Lsn target) {
   l.unlock();
   // Pay the device *before* the records become stable: a commit must not
   // observe durability until the force actually completes.
-  Status dev = DevicePay();
+  std::chrono::nanoseconds took;
+  Status dev = DevicePay(&took);
   l.lock();
+  last_force_ = took;
   force_in_progress_ = false;
   if (dev.ok()) stable_lsn_ = std::max(stable_lsn_, capped);
   force_cv_.notify_all();
   return dev;
 }
 
-Status LogManager::ForceCommit(Lsn target) {
+Status LogManager::ForceCommit(Lsn target, std::chrono::nanoseconds work) {
   if (!group_commit_) {
     // Ablation / legacy mode: every committer queues for a serial force
     // of its own. FlushInternal hits the "wal:flush" delay site itself;
@@ -72,6 +76,9 @@ Status LogManager::ForceCommit(Lsn target) {
   Lsn capped = std::min(target, next_lsn_ - 1);
   if (capped <= stable_lsn_) return Status::Ok();  // already durable
   requested_max_ = std::max(requested_max_, capped);
+  // Registered until we return, so a holding flusher can count us.
+  waiting_.push_back({capped, work});
+  if (gathering_) gather_cv_.notify_one();
   // If a force is already in flight we cannot ride it — the device write
   // may have started before our records were appended. Wait for it to
   // finish; if its batch covered us (it grabbed requested_max_ after our
@@ -79,17 +86,21 @@ Status LogManager::ForceCommit(Lsn target) {
   while (force_in_progress_) {
     force_cv_.wait(l);
     if (capped <= stable_lsn_) {
+      Unregister(capped);
       gc_absorbed_.fetch_add(1, std::memory_order_relaxed);
       return Status::Ok();
     }
   }
-  // Elected flusher: force the whole batch accumulated so far.
+  // Elected flusher: reserve the device, let the last batch's returning
+  // members join, then force the whole batch accumulated so far.
   force_in_progress_ = true;
+  GatherBatch(l);
   const Lsn batch_target = requested_max_;
   gc_batches_.fetch_add(1, std::memory_order_relaxed);
   l.unlock();
   // Device force, paid outside the mutex (appends continue meanwhile).
-  Status dev = DevicePay();
+  std::chrono::nanoseconds took;
+  Status dev = DevicePay(&took);
   // Crash window between the device force and the durability
   // acknowledgement: records may be on disk but stable_lsn_ never
   // advances, so neither the flusher nor any absorbed waiter may treat
@@ -97,10 +108,62 @@ Status LogManager::ForceCommit(Lsn target) {
   Status fp = failpoint::Check("wal:group-commit:after-force");
   if (!dev.ok()) fp = dev;  // a failed force trumps the crash window
   l.lock();
+  last_force_ = took;
   force_in_progress_ = false;  // cleared even on crash: waiters re-elect
-  if (fp.ok()) stable_lsn_ = std::max(stable_lsn_, batch_target);
+  if (fp.ok()) {
+    // The batch shape the next flusher aligns to: everyone waiting now
+    // that no earlier force covered, and how long the members this force
+    // covers worked before they asked — they return about that late.
+    last_waiting_ = UncoveredWaiters();
+    last_slowest_ = std::chrono::nanoseconds(0);
+    for (const Waiter& w : waiting_) {
+      if (w.lsn <= stable_lsn_ || w.lsn > batch_target) continue;
+      last_slowest_ = std::max(last_slowest_,
+                               w.work.count() > 0
+                                   ? w.work
+                                   : std::chrono::nanoseconds::max());
+    }
+    stable_lsn_ = std::max(stable_lsn_, batch_target);
+  } else {
+    last_waiting_ = 0;  // nobody returns from a failed batch: never hold
+  }
+  Unregister(capped);
   force_cv_.notify_all();
   return fp;
+}
+
+void LogManager::GatherBatch(std::unique_lock<std::mutex>& l) {
+  const size_t waiting = UncoveredWaiters();
+  if (waiting >= last_waiting_ || last_slowest_ >= last_force_) return;
+  // A returner is back about last_slowest_ after the last force ended.
+  // Held, it saves the rest of the force it would otherwise wait out;
+  // each committer already waiting loses about last_slowest_.
+  const size_t returning = last_waiting_ - waiting;
+  if (static_cast<double>(returning) * (last_force_ - last_slowest_).count() <
+      static_cast<double>(waiting) * last_slowest_.count()) {
+    return;
+  }
+  gc_gathers_.fetch_add(1, std::memory_order_relaxed);
+  gathering_ = true;
+  // stable_lsn_ cannot move while we hold the device, so the count only
+  // grows as committers register and notify.
+  const bool full = gather_cv_.wait_for(
+      l, last_force_, [this] { return UncoveredWaiters() >= last_waiting_; });
+  gathering_ = false;
+  if (!full) gc_gather_timeouts_.fetch_add(1, std::memory_order_relaxed);
+}
+
+size_t LogManager::UncoveredWaiters() const {
+  return static_cast<size_t>(
+      std::count_if(waiting_.begin(), waiting_.end(),
+                    [this](const Waiter& w) { return w.lsn > stable_lsn_; }));
+}
+
+void LogManager::Unregister(Lsn lsn) {
+  auto it = std::find_if(waiting_.begin(), waiting_.end(),
+                         [lsn](const Waiter& w) { return w.lsn == lsn; });
+  *it = waiting_.back();
+  waiting_.pop_back();
 }
 
 uint64_t LogManager::fsyncs() const {

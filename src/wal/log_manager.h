@@ -58,6 +58,19 @@ class LogManager {
   // pays its own overlapping force), which is the pre-group-commit
   // model and the bench ablation baseline.
   //
+  // work is the committer's Begin-to-commit-request time (zero when
+  // unknown). It drives batch alignment (DESIGN.md §9). Committers
+  // released by the last force are about to return; without a hold they
+  // would miss this force, wait out all of it, and then pay their own. So
+  // the elected flusher holds the device force back when the returners
+  // gain more than the committers already waiting lose: with w the
+  // longest work reported by the last batch and F the last device force,
+  // when returners * (F - w) >= waiting * w. The hold ends when the
+  // returners have requested, or after one measured device force at most,
+  // so no commit waits longer than it could already wait behind a force
+  // in flight. A committer with unknown work, or with work longer than
+  // the force, never causes a hold.
+  //
   // Returns non-OK only when the "wal:group-commit:after-force" crash
   // failpoint fires in the window between the device force and the
   // stable_lsn_ advance: the records were (maybe) written but durability
@@ -66,7 +79,8 @@ class LogManager {
   // woken and re-elect (or crash out themselves if the site is armed
   // unlimited) — no waiter ever observes durability before a force
   // actually completed and advanced stable_lsn_.
-  Status ForceCommit(Lsn target);
+  Status ForceCommit(Lsn target, std::chrono::nanoseconds work =
+                                     std::chrono::nanoseconds(0));
 
   void set_group_commit(bool on) { group_commit_ = on; }
   bool group_commit() const { return group_commit_; }
@@ -92,6 +106,14 @@ class LogManager {
   }
   uint64_t group_commit_forces_absorbed() const {
     return gc_absorbed_.load(std::memory_order_relaxed);
+  }
+  // Flushers that held their force back for returning committers, and
+  // the holds that ended at the one-force bound instead.
+  uint64_t group_commit_gathers() const {
+    return gc_gathers_.load(std::memory_order_relaxed);
+  }
+  uint64_t group_commit_gather_timeouts() const {
+    return gc_gather_timeouts_.load(std::memory_order_relaxed);
   }
 
   Lsn last_lsn() const;
@@ -131,10 +153,19 @@ class LogManager {
  private:
   // Serial device force shared by Flush and ForceCommit: pays the
   // modeled latency and/or the attached DiskLog's real write+fsync.
-  // Called with mu_ NOT held. Non-ok means durability was not achieved
-  // and stable_lsn_ must not advance.
-  Status DevicePay();
+  // Called with mu_ NOT held; stores the time it took in *took (the
+  // caller publishes it as last_force_). Non-ok means durability was not
+  // achieved and stable_lsn_ must not advance.
+  Status DevicePay(std::chrono::nanoseconds* took);
   Status FlushInternal(Lsn target);
+  // Batch alignment, called with mu_ held by the elected flusher before
+  // it samples its batch target: waits on gather_cv_ (bounded by
+  // last_force_) when the rule in ForceCommit's comment says to hold.
+  void GatherBatch(std::unique_lock<std::mutex>& l);
+  // Committers registered in waiting_ that no finished force covered.
+  size_t UncoveredWaiters() const;
+  // Removes the committer that registered lsn from waiting_.
+  void Unregister(Lsn lsn);
 
   mutable std::mutex mu_;
   std::deque<LogRecord> records_;  // records_[i].lsn == first_lsn_ + i
@@ -156,6 +187,26 @@ class LogManager {
   std::condition_variable force_cv_;
   std::atomic<uint64_t> gc_batches_{0};
   std::atomic<uint64_t> gc_absorbed_{0};
+
+  // Batch alignment state (all under mu_). waiting_ holds every
+  // committer inside ForceCommit: the LSN it needs stable and its
+  // Begin-to-commit work (unordered; a vector so that steady state
+  // allocates nothing under mu_). When a batch force ends, last_waiting_
+  // records how many of them no earlier force covered and last_slowest_
+  // the longest work among the batch it covered (max() if one was
+  // unknown). last_force_ is the duration of the last DevicePay.
+  struct Waiter {
+    Lsn lsn;
+    std::chrono::nanoseconds work;
+  };
+  std::vector<Waiter> waiting_;
+  size_t last_waiting_ = 0;
+  std::chrono::nanoseconds last_slowest_{0};
+  std::chrono::nanoseconds last_force_{0};
+  bool gathering_ = false;
+  std::condition_variable gather_cv_;
+  std::atomic<uint64_t> gc_gathers_{0};
+  std::atomic<uint64_t> gc_gather_timeouts_{0};
 };
 
 }  // namespace brahma

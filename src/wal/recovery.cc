@@ -39,6 +39,43 @@ void ApplyInPlace(ObjectStore* store, ObjectId oid, Fn fn) {
   fn(h);
 }
 
+// The CLR that logs the undo of rec (same payload conventions as
+// Transaction::UndoToEnd: the fields describe the compensating action).
+// Records that need no undo yield a record whose type is not kClr.
+LogRecord CompensationFor(const LogRecord& rec) {
+  LogRecord clr;
+  switch (rec.type) {
+    case LogRecordType::kSetRef:
+      clr.old_ref = rec.new_ref;
+      clr.new_ref = rec.old_ref;
+      clr.slot = rec.slot;
+      break;
+    case LogRecordType::kUpdateData:
+      clr.old_data = rec.new_data;
+      clr.new_data = rec.old_data;
+      break;
+    case LogRecordType::kCreate:
+      clr.num_refs = rec.num_refs;
+      clr.data_size = rec.data_size;
+      break;
+    case LogRecordType::kFree:
+      clr.num_refs = rec.num_refs;
+      clr.data_size = rec.data_size;
+      clr.refs_image = rec.refs_image;
+      clr.new_data = rec.old_data;
+      break;
+    default:
+      return clr;
+  }
+  clr.type = LogRecordType::kClr;
+  clr.compensates = rec.type;
+  clr.txn = rec.txn;
+  clr.source = rec.source;
+  clr.oid = rec.oid;
+  clr.undo_next_lsn = rec.prev_lsn;
+  return clr;
+}
+
 }  // namespace
 
 void RedoApply(ObjectStore* store, const LogRecord& rec) {
@@ -172,9 +209,17 @@ Status RunRestartRecovery(ObjectStore* store, LogManager* log,
   }
 
   // 4. Undo losers in reverse global LSN order, honouring CLR skips.
+  // Every undone record is logged as a CLR and every loser ends with an
+  // abort record, exactly like an in-process abort: a later restart then
+  // redoes the compensation instead of undoing the loser again over
+  // whatever committed after this recovery.
   std::set<Lsn> to_undo;
+  std::unordered_map<TxnId, Lsn> tail;  // each loser's newest record
   for (const auto& [txn, lsn] : last_lsn) {
-    if (completed.count(txn) == 0) to_undo.insert(lsn);
+    if (completed.count(txn) == 0) {
+      to_undo.insert(lsn);
+      tail[txn] = lsn;
+    }
   }
   while (!to_undo.empty()) {
     Lsn lsn = *to_undo.rbegin();
@@ -184,9 +229,21 @@ Status RunRestartRecovery(ObjectStore* store, LogManager* log,
     if (rec.type == LogRecordType::kClr) {
       if (rec.undo_next_lsn != kInvalidLsn) to_undo.insert(rec.undo_next_lsn);
     } else {
+      LogRecord clr = CompensationFor(rec);
+      if (clr.type == LogRecordType::kClr) {
+        clr.prev_lsn = tail[rec.txn];
+        tail[rec.txn] = log->Append(clr);
+      }
       UndoApply(store, rec);
       if (rec.prev_lsn != kInvalidLsn) to_undo.insert(rec.prev_lsn);
     }
+  }
+  for (const auto& [txn, lsn] : tail) {
+    LogRecord abort;
+    abort.type = LogRecordType::kAbort;
+    abort.txn = txn;
+    abort.prev_lsn = lsn;
+    log->Append(std::move(abort));
   }
   return Status::Ok();
 }

@@ -23,7 +23,9 @@ struct CheckpointImage {
 // context): restores the last checkpoint image (or empty arenas), redoes
 // history forward from the checkpoint LSN with idempotent physical
 // application, then undoes losers in reverse global LSN order, honouring
-// CLR undo_next chains. On return the store is transaction consistent.
+// CLR undo_next chains. The undo is logged (a CLR per undone record, an
+// abort record per loser) but not forced; the caller forces it before
+// reopening. On return the store is transaction consistent.
 Status RunRestartRecovery(ObjectStore* store, LogManager* log,
                           const CheckpointImage* checkpoint);
 

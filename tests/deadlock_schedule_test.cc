@@ -421,32 +421,5 @@ TEST(DeadlockScheduleTest, ParallelIraNeverVictimizesUsers) {
   EXPECT_FALSE(db.trt().enabled());
 }
 
-// The wait_die ablation knob switches the process policy for the run and
-// restores it afterwards; the run still completes exactly.
-TEST(DeadlockScheduleTest, IraWaitDieKnobRoundTrips) {
-  Database db(testing::SmallDbOptions(5));
-  WorkloadParams params = testing::SmallWorkload(2);
-  BuiltGraph graph;
-  GraphBuilder builder(&db);
-  ASSERT_TRUE(builder.Build(params, &graph).ok());
-  const uint64_t live_before = CountLiveObjects(&db.store(), 1);
-  ASSERT_EQ(db.locks().deadlock_policy(), kDefaultDeadlockPolicy);
-
-  IraOptions opt;
-  opt.num_workers = 2;
-  opt.wait_die = true;
-  CopyOutPlanner planner(5);
-  ReorgStats stats;
-  IraReorganizer ira(db.reorg_context());
-  Status s = ira.Run(1, &planner, opt, &stats);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(db.locks().deadlock_policy(), kDefaultDeadlockPolicy);
-  EXPECT_EQ(CountLiveObjects(&db.store(), 1), 0u);
-  EXPECT_EQ(CountLiveObjects(&db.store(), 5), live_before);
-  db.analyzer().Sync();
-  EXPECT_EQ(CountDanglingRefs(&db.store()), 0);
-  EXPECT_EQ(db.locks().NumLockedObjects(), 0u);
-}
-
 }  // namespace
 }  // namespace brahma

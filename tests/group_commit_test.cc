@@ -71,6 +71,132 @@ TEST_F(GroupCommitTest, StaggeredCommittersBatchAndAbsorb) {
   EXPECT_EQ(lm.stable_lsn(), l3);
   EXPECT_EQ(lm.group_commit_batches(), 2u);
   EXPECT_EQ(lm.group_commit_forces_absorbed(), 1u);
+  // No work time was given, so nobody was held for a returning committer.
+  EXPECT_EQ(lm.group_commit_gathers(), 0u);
+}
+
+// Batch alignment (DESIGN.md §9). Committer A forces alone; `waiters`
+// more committers request during A's 50 ms force, reporting
+// `waiter_work`. A then works for kReturnAfter and commits again; both of
+// A's commits report `work`. The flusher elected from the waiters holds
+// its force for A only if A's reported work is short enough that the rest
+// of the force A would save outweighs the delay to those already waiting.
+struct ConvoyRun {
+  uint64_t batches = 0;
+  uint64_t absorbed = 0;
+  uint64_t gathers = 0;
+  uint64_t timeouts = 0;
+};
+
+constexpr auto kAlignForce = std::chrono::milliseconds(50);
+constexpr auto kReturnAfter = std::chrono::milliseconds(10);
+
+ConvoyRun RunConvoy(std::chrono::nanoseconds work, int waiters,
+                    std::chrono::nanoseconds waiter_work) {
+  LogManager lm(kAlignForce);
+  lm.set_group_commit(true);
+  std::atomic<int> ok{0};
+  const Lsn a1 = lm.Append(MakeRecord());
+  std::thread a([&] {
+    if (lm.ForceCommit(a1, work).ok()) ++ok;
+    std::this_thread::sleep_for(kReturnAfter);
+    if (lm.ForceCommit(lm.Append(MakeRecord()), work).ok()) ++ok;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  std::vector<Lsn> lsns;
+  for (int i = 0; i < waiters; ++i) lsns.push_back(lm.Append(MakeRecord()));
+  std::vector<std::thread> others;
+  for (Lsn lsn : lsns) {
+    others.emplace_back([&, lsn] {
+      if (lm.ForceCommit(lsn, waiter_work).ok()) ++ok;
+    });
+  }
+  a.join();
+  for (std::thread& t : others) t.join();
+  EXPECT_EQ(ok.load(), 2 + waiters);
+  EXPECT_EQ(lm.stable_lsn(), lm.last_lsn());
+  return {lm.group_commit_batches(), lm.group_commit_forces_absorbed(),
+          lm.group_commit_gathers(), lm.group_commit_gather_timeouts()};
+}
+
+TEST_F(GroupCommitTest, ShortWorkCommittersStayInOneBatch) {
+  // A's second commit joins the waiter: two forces in all, not three, and
+  // the hold ended because A came back, not at the bound.
+  const auto work = std::chrono::milliseconds(1);
+  ConvoyRun r = RunConvoy(work, /*waiters=*/1, work);
+  EXPECT_EQ(r.batches, 2u);
+  EXPECT_EQ(r.absorbed, 1u);
+  EXPECT_EQ(r.gathers, 1u);
+  EXPECT_EQ(r.timeouts, 0u);
+}
+
+TEST_F(GroupCommitTest, UnknownOrLongWorkIsNeverHeld) {
+  // With no work time, or work longer than a force, the flusher starts at
+  // once: A's second commit misses it and pays a third force of its own.
+  for (std::chrono::nanoseconds work :
+       {std::chrono::nanoseconds(0),
+        std::chrono::nanoseconds(2 * kAlignForce)}) {
+    SCOPED_TRACE(work.count());
+    ConvoyRun r = RunConvoy(work, /*waiters=*/1, work);
+    EXPECT_EQ(r.batches, 3u);
+    EXPECT_EQ(r.absorbed, 0u);
+    EXPECT_EQ(r.gathers, 0u);
+  }
+}
+
+TEST_F(GroupCommitTest, NoHoldWhenWaitingCostsMoreThanItSaves) {
+  // Two committers wait for one returner that reports 20 ms of work in a
+  // 50 ms force. Held, the returner would save about 30 ms while each
+  // waiter lost about 20 ms, so the flusher starts at once and A pays its
+  // own force. (The waiters report long work so that A, flusher of the
+  // last batch, does not hold for them in turn.)
+  ConvoyRun r = RunConvoy(std::chrono::milliseconds(20), /*waiters=*/2,
+                          2 * kAlignForce);
+  EXPECT_EQ(r.batches, 3u);
+  EXPECT_EQ(r.absorbed, 1u);
+  EXPECT_EQ(r.gathers, 0u);
+}
+
+TEST_F(GroupCommitTest, HoldIsBoundedByOneForce) {
+  // A commits once with a short work time and never returns. The flusher
+  // elected from B holds for it, gives up after one measured force, and
+  // then forces: B returns about two forces after A's force ended. A
+  // concurrent Flush issued during the hold waits its turn behind the held
+  // batch and then pays its own force; nobody deadlocks.
+  LogManager lm(kAlignForce);
+  lm.set_group_commit(true);
+  const auto work = std::chrono::milliseconds(1);
+  const Lsn a1 = lm.Append(MakeRecord());
+  std::atomic<bool> a_done{false};
+  std::chrono::steady_clock::time_point a_end, b_end;
+  std::thread a([&] {
+    EXPECT_TRUE(lm.ForceCommit(a1, work).ok());
+    a_end = std::chrono::steady_clock::now();
+    a_done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const Lsn b = lm.Append(MakeRecord());
+  std::thread tb([&] {
+    EXPECT_TRUE(lm.ForceCommit(b, work).ok());
+    b_end = std::chrono::steady_clock::now();
+  });
+  while (!a_done) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));  // mid-hold
+  const Lsn d = lm.Append(MakeRecord());
+  lm.Flush(d);
+  EXPECT_GE(lm.stable_lsn(), d);
+  a.join();
+  tb.join();
+
+  EXPECT_EQ(lm.group_commit_gathers(), 1u);
+  EXPECT_EQ(lm.group_commit_gather_timeouts(), 1u);
+  EXPECT_EQ(lm.group_commit_batches(), 2u);
+  EXPECT_EQ(lm.group_commit_forces_absorbed(), 0u);
+  // One force of holding plus the batch's own force; the slack covers
+  // scheduler noise, not a second hold.
+  const auto waited = b_end - a_end;
+  EXPECT_GE(waited, 2 * kAlignForce - std::chrono::milliseconds(5));
+  EXPECT_LT(waited, 3 * kAlignForce);
 }
 
 TEST_F(GroupCommitTest, AlreadyDurableTargetSkipsTheDevice) {
@@ -170,6 +296,60 @@ TEST_F(GroupCommitTest, NoAbsorbedWaiterObservesDurabilityEarly) {
   ASSERT_TRUE(db.Recover().ok());
   EXPECT_FALSE(db.store().Validate(oid1));
   EXPECT_FALSE(db.store().Validate(oid2));
+}
+
+TEST_F(GroupCommitTest, CrashOnHeldBatchLeavesNoMemberDurable) {
+  // The batch-alignment scenario on a full Database: A commits alone, B
+  // commits during A's force, and B, elected flusher, holds its force
+  // until A's next transaction has requested. That held
+  // batch crashes between the device force and the stable-LSN advance
+  // (site armed from its second hit on, so A's first force succeeds and
+  // every re-elected flusher crashes too). Recovery shows A's first
+  // object and none of the held batch's.
+  DatabaseOptions dopt = testing::SmallDbOptions();
+  dopt.commit_flush_latency = kAlignForce;
+  dopt.group_commit = true;
+  Database db(dopt);
+  {
+    auto setup = db.Begin();
+    ObjectId base;
+    ASSERT_TRUE(setup->CreateObject(1, 2, 16, &base).ok());
+    ASSERT_TRUE(setup->Commit().ok());
+  }
+  ASSERT_TRUE(FailPoints::Instance()
+                  .ArmFromString("wal:group-commit:after-force=crash.nth(2)")
+                  .ok());
+  const uint64_t gathers0 = db.log().group_commit_gathers();
+  // Returns the commit status; a crashed committer abandons its txn.
+  auto commit_one = [&db](ObjectId* out) {
+    auto txn = db.Begin();
+    EXPECT_TRUE(txn->CreateObject(1, 2, 16, out).ok());
+    Status s = txn->Commit();
+    if (!s.ok()) txn->Abandon();
+    return s;
+  };
+  ObjectId a1, a2, b;
+  Status sa1, sa2, sb;
+  std::thread ta([&] {
+    sa1 = commit_one(&a1);
+    std::this_thread::sleep_for(kReturnAfter);
+    sa2 = commit_one(&a2);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  std::thread tb([&] { sb = commit_one(&b); });
+  ta.join();
+  tb.join();
+  FailPoints::Instance().Reset();
+  ASSERT_TRUE(sa1.ok()) << sa1.ToString();
+  EXPECT_TRUE(sa2.IsCrashed()) << sa2.ToString();
+  EXPECT_TRUE(sb.IsCrashed()) << sb.ToString();
+  EXPECT_EQ(db.log().group_commit_gathers() - gathers0, 1u);
+
+  db.SimulateCrash();
+  ASSERT_TRUE(db.Recover().ok());
+  EXPECT_TRUE(db.store().Validate(a1));
+  EXPECT_FALSE(db.store().Validate(a2));
+  EXPECT_FALSE(db.store().Validate(b));
 }
 
 TEST_F(GroupCommitTest, ConcurrentCommitsAreDurableAfterRecovery) {

@@ -212,6 +212,39 @@ TEST_F(RecoveryTest, FindInterruptedMigrationsDetectsPairs) {
   EXPECT_EQ(interrupted[0].new_id, onew);
 }
 
+// In-memory twin of DiskRecoveryTest.RecoveredLoserStaysUndoneAcrossSecond-
+// Restart, with a reference rewrite and a creation in the loser: the first
+// recovery logs their compensation, so the second neither undoes the
+// rewrite over a later commit nor resurrects the loser's object.
+TEST_F(RecoveryTest, RecoveredLoserStaysUndoneAcrossSecondRestart) {
+  ObjectId a = CreateCommitted(1);
+  ObjectId b = CreateCommitted(2);
+  ObjectId c = CreateCommitted(2);
+  ObjectId created;
+  {
+    auto loser = db_.Begin();
+    ASSERT_TRUE(loser->Lock(a, LockMode::kExclusive).ok());
+    ASSERT_TRUE(loser->SetRef(a, 0, b).ok());
+    ASSERT_TRUE(loser->CreateObject(3, 1, 8, &created).ok());
+    CreateCommitted(1);  // forces the loser's records to the stable log
+    loser->Abandon();
+  }
+  db_.SimulateCrash();
+  ASSERT_TRUE(db_.Recover().ok());
+  EXPECT_FALSE(db_.store().Get(a)->refs()[0].valid());
+  EXPECT_FALSE(db_.store().Validate(created));
+  {
+    auto txn = db_.Begin();
+    ASSERT_TRUE(txn->Lock(a, LockMode::kExclusive).ok());
+    ASSERT_TRUE(txn->SetRef(a, 0, c).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  db_.SimulateCrash();
+  ASSERT_TRUE(db_.Recover().ok());
+  EXPECT_EQ(db_.store().Get(a)->refs()[0], c);
+  EXPECT_FALSE(db_.store().Validate(created));
+}
+
 TEST_F(RecoveryTest, CompletedMigrationNotReported) {
   ObjectId old_obj = CreateCommitted(1);
   ObjectId onew;
@@ -412,6 +445,62 @@ TEST_F(DiskRecoveryTest, FailedFsyncCommitNotAcknowledged) {
     EXPECT_EQ(testing::CountDanglingRefs(&d.db->store()), 0);
     ASSERT_TRUE(d.WriteCommitted(a, 0x44).ok());
   }
+}
+
+// Recovery logs its undo of a loser (CLRs, then an abort record). Without
+// that log, a second restart would redo the loser's update and undo it
+// again from its before-image, over a write committed after the first
+// recovery.
+TEST_F(DiskRecoveryTest, RecoveredLoserStaysUndoneAcrossSecondRestart) {
+  DiskDb d("second-restart");
+  ObjectId a = d.CreateCommitted(1, 0x11);
+  ObjectId b = d.CreateCommitted(1, 0x12);
+  {
+    auto loser = d.db->Begin();
+    ASSERT_TRUE(loser->Lock(a, LockMode::kExclusive).ok());
+    ASSERT_TRUE(loser->WriteData(a, std::vector<uint8_t>(8, 0x99)).ok());
+    ASSERT_TRUE(d.WriteCommitted(b, 0x22).ok());
+    loser->Abandon();
+  }
+  d.db->SimulateCrash();
+  ASSERT_TRUE(d.db->Recover(nullptr).ok());
+  EXPECT_EQ(d.DataByte(a), 0x11);
+  ASSERT_TRUE(d.WriteCommitted(a, 0x44).ok());
+  d.db->SimulateCrash();
+  ASSERT_TRUE(d.db->Recover(nullptr).ok());
+  EXPECT_EQ(d.DataByte(a), 0x44);
+}
+
+// Recovery undoes a loser and forces its CLR and abort records. If that
+// force fails, the undo is not durable and Recover must say so rather than
+// reopen the database. A later recovery (with the device healthy) still
+// rolls the loser back.
+TEST_F(DiskRecoveryTest, FailedPostUndoForceFailsRecovery) {
+  DiskDb d("undo-fsync-fail");
+  ObjectId a = d.CreateCommitted(1, 0x11);
+  ObjectId b = d.CreateCommitted(1, 0x12);
+  {
+    // The loser's update reaches the stable log through another
+    // transaction's commit force; the loser itself never commits.
+    auto loser = d.db->Begin();
+    ASSERT_TRUE(loser->Lock(a, LockMode::kExclusive).ok());
+    ASSERT_TRUE(loser->WriteData(a, std::vector<uint8_t>(8, 0x99)).ok());
+    ASSERT_TRUE(d.WriteCommitted(b, 0x22).ok());
+    loser->Abandon();
+  }
+  d.db->SimulateCrash();
+
+  ASSERT_TRUE(FailPoints::Instance()
+                  .ArmFromString("media:wal:fsync=error(io)")
+                  .ok());
+  Status s = d.db->Recover(nullptr);
+  EXPECT_FALSE(s.ok()) << "recovery acknowledged an undo it never forced";
+  FailPoints::Instance().Reset();
+
+  d.db->SimulateCrash();
+  ASSERT_TRUE(d.db->Recover(nullptr).ok());
+  EXPECT_EQ(d.DataByte(a), 0x11);
+  EXPECT_EQ(d.DataByte(b), 0x22);
 }
 
 // Bad newest checkpoint image: recovery falls back to the previous
