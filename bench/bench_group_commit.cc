@@ -1,19 +1,15 @@
-// Group-commit WAL force + claim-aware wakeup + adaptive workers: reorg
-// wall-clock and user-transaction p99 vs num_workers, with the whole
-// stack toggled on/off. "off" rows reproduce the PR 2 pipeline — every
-// committer queues a serial force of its own on the one-head log
-// device, deferred siblings spin on the blind 1 ms retry timer, and the
-// worker count is static — so the emitted JSON is its own baseline.
+// Group-commit WAL force: reorg wall-clock and user-transaction p99 vs
+// num_workers, with group commit toggled off/on. "off" rows model the
+// serial one-head log device with no coalescing — every committer queues
+// a device force of its own — so the emitted JSON is its own baseline.
 //
 // Expected shape: without batching, MPL user committers plus N reorg
 // workers each demand a full device force per commit, so the force
 // queue — not the migration work — gates both reorg wall-clock and user
 // throughput. Batching the queued forces (one elected flusher per
 // batch, the rest absorbed) collapses that queue to ~one force per
-// batch; claim-aware wakeup then removes the deferral dead time and the
-// adaptive controller stops entangled clusters from thrashing. User p99
-// improves for the same reason: commits ride a shared batch instead of
-// queueing behind every outstanding force.
+// batch. User p99 improves for the same reason: commits ride a shared
+// batch instead of queueing behind every outstanding force.
 //
 // Emits BENCH_group_commit.json in the working directory.
 
@@ -40,14 +36,13 @@ void Run() {
     mpl = 30;
   }
 
-  std::printf("# Group commit + claim wakeup + adaptive workers — reorg "
-              "wall-clock and user p99 vs num_workers\n");
+  std::printf("# Group commit — reorg wall-clock and user p99 vs "
+              "num_workers\n");
   PrintSeriesHeader("mode", {"workers", "reorg_ms", "user_tps", "user_p99_ms",
                              "batches", "absorbed", "commits_per_force",
-                             "gathers", "gather_timeouts", "claim_wakeups",
-                             "shed", "added"});
+                             "gathers", "gather_timeouts", "claim_wakeups"});
   JsonBenchWriter json("group_commit");
-  // mode 0 = PR 2 baseline (everything off), mode 1 = full stack on.
+  // mode 0 = group commit off, mode 1 = on.
   for (int gc = 0; gc <= 1; ++gc) {
     for (uint32_t w : workers) {
       ExperimentConfig cfg;
@@ -56,8 +51,6 @@ void Run() {
       cfg.scenario = Scenario::kIRA;
       cfg.ira.num_workers = w;
       cfg.group_commit = gc != 0;
-      cfg.ira.claim_wakeup = gc != 0;
-      cfg.ira.adaptive_workers = gc != 0;
       ExperimentResult r = RunExperiment(cfg);
       const double batches =
           static_cast<double>(r.reorg.group_commit_batches);
@@ -74,9 +67,7 @@ void Run() {
                           r.driver.throughput_tps(),
                           r.driver.response_ms.Percentile(0.99), batches,
                           absorbed, per_force, gathers, gather_timeouts,
-                          static_cast<double>(r.reorg.claim_wakeups),
-                          static_cast<double>(r.reorg.workers_shed),
-                          static_cast<double>(r.reorg.workers_added)});
+                          static_cast<double>(r.reorg.claim_wakeups)});
       json.BeginRow();
       json.Add("group_commit", gc);
       json.Add("workers", w);
@@ -95,8 +86,6 @@ void Run() {
       json.Add("claim_deferrals",
                static_cast<double>(r.reorg.claim_deferrals));
       json.Add("claim_wakeups", static_cast<double>(r.reorg.claim_wakeups));
-      json.Add("workers_shed", static_cast<double>(r.reorg.workers_shed));
-      json.Add("workers_added", static_cast<double>(r.reorg.workers_added));
       json.Add("lock_timeouts", static_cast<double>(r.reorg.lock_timeouts));
       json.Add("reorg_ok", r.reorg_status.ok() ? 1 : 0);
     }

@@ -29,34 +29,6 @@ inline constexpr std::chrono::milliseconds kCalibratedLockTimeout{50};
 // their life waiting on this force, during which user work proceeds.
 inline constexpr std::chrono::microseconds kCommitForceLatency{800};
 
-// Parallel migration pipeline: delay before a footprint-deferred
-// migration re-enters the ready queue when claim-aware wakeup is
-// disabled (the blind retry timer of the original pipeline, kept as an
-// ablation knob), and for the rare requeue that loses the race between a
-// failed claim and the blocker's release.
-inline constexpr std::chrono::milliseconds kMigrationRequeueDelay{1};
-
-// Adaptive worker controller (parallel pipeline): every
-// kAdaptiveWindowEvents outcomes (migrations completed + footprint
-// deferrals) the pipe re-evaluates the deferral-to-migration ratio. At or
-// above kAdaptiveShedRatio the clusters are too entangled to parallelize
-// — one worker parks; at or below kAdaptiveAddRatio a parked worker (if
-// any) resumes. Never drops below kAdaptiveMinWorkers.
-//
-// Thresholds are calibrated to claim-aware wakeup, under which a
-// deferral costs only a failed claim probe (no timer, no lock wait): on
-// the Figure 6 graph a healthy 8-worker run sustains 2-3 deferrals per
-// migration, so shedding starts only when deferrals outnumber
-// migrations 4:1 in a window — the regime where extra workers generate
-// almost nothing but conflicts — and parked workers return once the
-// window ratio is back at parity. The 4:1 / 1:1 gap is hysteresis:
-// between the two thresholds the worker count holds steady rather than
-// oscillating with per-window noise.
-inline constexpr uint32_t kAdaptiveWindowEvents = 32;
-inline constexpr double kAdaptiveShedRatio = 4.0;
-inline constexpr double kAdaptiveAddRatio = 1.0;
-inline constexpr uint32_t kAdaptiveMinWorkers = 1;
-
 // Deadlock handling. The paper resolves reorg/user deadlocks with the 1 s
 // lock-wait timeout alone (Section 5); with commits now in the single-digit
 // milliseconds (group commit, DESIGN.md §9) a burned timeout dominates the

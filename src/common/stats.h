@@ -37,9 +37,9 @@ struct ReorgStats {
   std::atomic<uint64_t> traversal_visited{0};
   std::atomic<uint64_t> trt_peak_size{0};
   std::atomic<uint64_t> max_distinct_objects_locked{0};
-  // Contention-handling accounting: exponential-backoff sleeps taken
-  // between lock-timeout retries (including parallel-pipeline deferrals),
-  // and their cumulative duration.
+  // Contention-handling accounting: exponential-backoff delays taken
+  // before retries (requeued migrations and two-lock parent retries), and
+  // their cumulative duration.
   std::atomic<uint64_t> backoff_sleeps{0};
   std::atomic<uint64_t> backoff_total_ms{0};
   // Parallel pipeline: migrations deferred up front because their
@@ -65,12 +65,8 @@ struct ReorgStats {
   std::atomic<uint64_t> group_commit_gathers{0};
   std::atomic<uint64_t> group_commit_gather_timeouts{0};
   // Claim-aware pipeline scheduling: deferred migrations woken exactly by
-  // the release of the footprint claim that blocked them (vs the blind
-  // retry timer when claim wakeup is disabled).
+  // the release of the footprint claim that blocked them.
   std::atomic<uint64_t> claim_wakeups{0};
-  // Adaptive worker controller: park/unpark decisions taken mid-run.
-  std::atomic<uint64_t> workers_shed{0};
-  std::atomic<uint64_t> workers_added{0};
   // Deadlock handling (delta of the shared LockManager counters over this
   // run, like group_commit_batches): waits-for cycles found, transactions
   // surgically aborted to break them, and the cumulative lock-wait time
@@ -135,8 +131,6 @@ struct ReorgStats {
     group_commit_gather_timeouts.store(
         other.group_commit_gather_timeouts.load());
     claim_wakeups.store(other.claim_wakeups.load());
-    workers_shed.store(other.workers_shed.load());
-    workers_added.store(other.workers_added.load());
     deadlocks_detected.store(other.deadlocks_detected.load());
     victims_aborted.store(other.victims_aborted.load());
     victim_wait_ms_saved.store(other.victim_wait_ms_saved.load());

@@ -1,7 +1,7 @@
 #include "core/ira.h"
 
 #include <algorithm>
-#include <deque>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -42,7 +42,68 @@ Cleanup<F> MakeCleanup(F fn) {
   return Cleanup<F>{std::move(fn)};
 }
 
+// Database-wide counters a run reports as deltas over its own duration:
+// whatever any thread did while the run overlapped it (user commits that
+// batched with the reorg's forces, cycles a user transaction broke
+// against it, fsyncs, media faults, page traffic) is attributed to the
+// run. kInMemory durability and kMemory data contribute zeros.
+using SharedCounter = std::pair<std::atomic<uint64_t> ReorgStats::*, uint64_t>;
+
+std::vector<SharedCounter> ReadSharedCounters(const ReorgContext& ctx) {
+  std::vector<SharedCounter> c = {
+      {&ReorgStats::faults_injected, FailPoints::Instance().total_triggered()},
+      {&ReorgStats::group_commit_batches, ctx.log->group_commit_batches()},
+      {&ReorgStats::forces_absorbed, ctx.log->group_commit_forces_absorbed()},
+      {&ReorgStats::group_commit_gathers, ctx.log->group_commit_gathers()},
+      {&ReorgStats::group_commit_gather_timeouts,
+       ctx.log->group_commit_gather_timeouts()},
+      {&ReorgStats::fsyncs, ctx.log->fsyncs()},
+      {&ReorgStats::media_faults_injected,
+       MediaFaultInjector::Instance().faults_injected()},
+      {&ReorgStats::deadlocks_detected, ctx.locks->deadlocks_detected()},
+      {&ReorgStats::victims_aborted, ctx.locks->victims_aborted()},
+      {&ReorgStats::victim_wait_ms_saved, ctx.locks->victim_wait_saved_ms()},
+  };
+  if (ctx.epoch != nullptr) {
+    c.push_back({&ReorgStats::epoch_advances, ctx.epoch->epochs_advanced()});
+    c.push_back({&ReorgStats::retire_drains, ctx.epoch->retire_drains()});
+    c.push_back({&ReorgStats::latchfree_reads, ctx.epoch->latchfree_reads()});
+  }
+  if (BufferPool* pool = ctx.store->buffer_pool(); pool != nullptr) {
+    c.push_back({&ReorgStats::pool_hits, pool->pool_hits()});
+    c.push_back({&ReorgStats::pool_misses, pool->pool_misses()});
+    c.push_back({&ReorgStats::frames_evicted, pool->frames_evicted()});
+    c.push_back({&ReorgStats::dirty_writebacks, pool->dirty_writebacks()});
+  }
+  return c;
+}
+
+// Closes a Run/Resume's stats: wall-clock, then the shared-counter deltas
+// since `before`. Retirements queued at the tail of the run get a drain
+// pass first, now that the migration transactions are done: compaction
+// accounting (and the fragmentation assertions in tests) wants O_old's
+// holes back as soon as the last reader's grace period allows.
+void FoldRunStats(const ReorgContext& ctx, const Stopwatch& sw,
+                  const std::vector<SharedCounter>& before,
+                  ReorgStats* stats) {
+  stats->duration_ms = sw.ElapsedMillis();
+  if (ctx.epoch != nullptr) ctx.epoch->AdvanceAndDrain();
+  const std::vector<SharedCounter> after = ReadSharedCounters(ctx);
+  for (size_t i = 0; i < after.size(); ++i) {
+    stats->*after[i].first += after[i].second - before[i].second;
+  }
+}
+
 }  // namespace
+
+void IraReorganizer::ResetRunState() {
+  {
+    std::lock_guard<std::mutex> g(reloc_mu_);
+    reverse_relocation_.clear();
+  }
+  std::lock_guard<std::mutex> g(claims_mu_);
+  claims_.clear();
+}
 
 Status IraReorganizer::Run(PartitionId p, RelocationPlanner* planner,
                            const IraOptions& options, ReorgStats* stats) {
@@ -51,30 +112,7 @@ Status IraReorganizer::Run(PartitionId p, RelocationPlanner* planner,
         "wait_for_historical_lockers requires lock history");
   }
   Stopwatch sw;
-  const uint64_t faults_before = FailPoints::Instance().total_triggered();
-  const uint64_t gc_batches_before = ctx_.log->group_commit_batches();
-  const uint64_t gc_absorbed_before =
-      ctx_.log->group_commit_forces_absorbed();
-  const uint64_t gc_gathers_before = ctx_.log->group_commit_gathers();
-  const uint64_t gc_timeouts_before =
-      ctx_.log->group_commit_gather_timeouts();
-  const uint64_t fsyncs_before = ctx_.log->fsyncs();
-  const uint64_t media_faults_before =
-      MediaFaultInjector::Instance().faults_injected();
-  const uint64_t dd_before = ctx_.locks->deadlocks_detected();
-  const uint64_t va_before = ctx_.locks->victims_aborted();
-  const uint64_t vw_before = ctx_.locks->victim_wait_saved_ms();
-  const uint64_t ea_before =
-      ctx_.epoch != nullptr ? ctx_.epoch->epochs_advanced() : 0;
-  const uint64_t rd_before =
-      ctx_.epoch != nullptr ? ctx_.epoch->retire_drains() : 0;
-  const uint64_t lf_before =
-      ctx_.epoch != nullptr ? ctx_.epoch->latchfree_reads() : 0;
-  BufferPool* pool = ctx_.store->buffer_pool();
-  const uint64_t ph_before = pool != nullptr ? pool->pool_hits() : 0;
-  const uint64_t pm_before = pool != nullptr ? pool->pool_misses() : 0;
-  const uint64_t fe_before = pool != nullptr ? pool->frames_evicted() : 0;
-  const uint64_t dw_before = pool != nullptr ? pool->dirty_writebacks() : 0;
+  const std::vector<SharedCounter> before = ReadSharedCounters(ctx_);
 
   // Start collecting pointer inserts/deletes for the partition. Sync
   // first so pre-reorganization history (already reflected in the graph
@@ -101,62 +139,11 @@ Status IraReorganizer::Run(PartitionId p, RelocationPlanner* planner,
 
   // Step 2: for each object, find and lock the exact parents, then move.
   MigratedSet migrated;
-  {
-    std::lock_guard<std::mutex> g(reloc_mu_);
-    reverse_relocation_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> g(claims_mu_);
-    claims_.clear();
-  }
+  ResetRunState();
   Status result = MigrateAllAndFinish(p, planner, options, tr.traversed,
                                       std::move(objects), &migrated, &plists,
                                       stats);
-  stats->duration_ms = sw.ElapsedMillis();
-  stats->faults_injected +=
-      FailPoints::Instance().total_triggered() - faults_before;
-  // Deltas of the shared log counters: user commits that batched with
-  // the reorg's forces are attributed to the run they overlapped.
-  stats->group_commit_batches +=
-      ctx_.log->group_commit_batches() - gc_batches_before;
-  stats->forces_absorbed +=
-      ctx_.log->group_commit_forces_absorbed() - gc_absorbed_before;
-  stats->group_commit_gathers +=
-      ctx_.log->group_commit_gathers() - gc_gathers_before;
-  stats->group_commit_gather_timeouts +=
-      ctx_.log->group_commit_gather_timeouts() - gc_timeouts_before;
-  // Durability deltas (kInMemory mode contributes zeros): real fsyncs
-  // the run's commits paid, and media faults the file layer injected
-  // while the run overlapped them.
-  stats->fsyncs += ctx_.log->fsyncs() - fsyncs_before;
-  stats->media_faults_injected +=
-      MediaFaultInjector::Instance().faults_injected() - media_faults_before;
-  // Deadlock counters are shared LockManager state, delta'd like the
-  // group-commit ones: cycles a user transaction broke against this run
-  // belong to this run's story.
-  stats->deadlocks_detected += ctx_.locks->deadlocks_detected() - dd_before;
-  stats->victims_aborted += ctx_.locks->victims_aborted() - va_before;
-  stats->victim_wait_ms_saved +=
-      ctx_.locks->victim_wait_saved_ms() - vw_before;
-  if (ctx_.epoch != nullptr) {
-    // Give retirements queued at the tail of the run a drain pass now
-    // that the migration transactions are done: compaction accounting
-    // (and the fragmentation assertions in tests) wants O_old's holes
-    // back as soon as the last reader's grace period allows. Then fold
-    // the shared epoch counters as deltas, like the group-commit ones.
-    ctx_.epoch->AdvanceAndDrain();
-    stats->epoch_advances += ctx_.epoch->epochs_advanced() - ea_before;
-    stats->retire_drains += ctx_.epoch->retire_drains() - rd_before;
-    stats->latchfree_reads += ctx_.epoch->latchfree_reads() - lf_before;
-  }
-  if (pool != nullptr) {
-    // Frame-pool deltas (DESIGN.md §13), like the group-commit ones:
-    // page traffic any thread generated while this run overlapped it.
-    stats->pool_hits += pool->pool_hits() - ph_before;
-    stats->pool_misses += pool->pool_misses() - pm_before;
-    stats->frames_evicted += pool->frames_evicted() - fe_before;
-    stats->dirty_writebacks += pool->dirty_writebacks() - dw_before;
-  }
+  FoldRunStats(ctx_, sw, before, stats);
   return result;
 }
 
@@ -171,30 +158,7 @@ Status IraReorganizer::Resume(const ReorgCheckpoint& checkpoint,
         "wait_for_historical_lockers requires lock history");
   }
   Stopwatch sw;
-  const uint64_t faults_before = FailPoints::Instance().total_triggered();
-  const uint64_t gc_batches_before = ctx_.log->group_commit_batches();
-  const uint64_t gc_absorbed_before =
-      ctx_.log->group_commit_forces_absorbed();
-  const uint64_t gc_gathers_before = ctx_.log->group_commit_gathers();
-  const uint64_t gc_timeouts_before =
-      ctx_.log->group_commit_gather_timeouts();
-  const uint64_t fsyncs_before = ctx_.log->fsyncs();
-  const uint64_t media_faults_before =
-      MediaFaultInjector::Instance().faults_injected();
-  const uint64_t dd_before = ctx_.locks->deadlocks_detected();
-  const uint64_t va_before = ctx_.locks->victims_aborted();
-  const uint64_t vw_before = ctx_.locks->victim_wait_saved_ms();
-  const uint64_t ea_before =
-      ctx_.epoch != nullptr ? ctx_.epoch->epochs_advanced() : 0;
-  const uint64_t rd_before =
-      ctx_.epoch != nullptr ? ctx_.epoch->retire_drains() : 0;
-  const uint64_t lf_before =
-      ctx_.epoch != nullptr ? ctx_.epoch->latchfree_reads() : 0;
-  BufferPool* pool = ctx_.store->buffer_pool();
-  const uint64_t ph_before = pool != nullptr ? pool->pool_hits() : 0;
-  const uint64_t pm_before = pool != nullptr ? pool->pool_misses() : 0;
-  const uint64_t fe_before = pool != nullptr ? pool->frames_evicted() : 0;
-  const uint64_t dw_before = pool != nullptr ? pool->dirty_writebacks() : 0;
+  const std::vector<SharedCounter> before = ReadSharedCounters(ctx_);
   const PartitionId p = checkpoint.partition;
   const bool strict = ctx_.txns->ctx().strict_2pl;
 
@@ -212,14 +176,7 @@ Status IraReorganizer::Resume(const ReorgCheckpoint& checkpoint,
   tr.traversed = checkpoint.traversed;
   tr.parents = ParentLists::FromFlat(checkpoint.parents);
   MigratedSet migrated;
-  {
-    std::lock_guard<std::mutex> g(reloc_mu_);
-    reverse_relocation_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> g(claims_mu_);
-    claims_.clear();
-  }
+  ResetRunState();
   for (const auto& [old_id, new_id] : checkpoint.relocation) {
     migrated.Insert(old_id);
     stats->AddRelocation(old_id, new_id);
@@ -265,44 +222,7 @@ Status IraReorganizer::Resume(const ReorgCheckpoint& checkpoint,
   Status result = MigrateAllAndFinish(p, planner, options, tr.traversed,
                                       std::move(objects), &migrated,
                                       &tr.parents, stats);
-  stats->duration_ms = sw.ElapsedMillis();
-  stats->faults_injected +=
-      FailPoints::Instance().total_triggered() - faults_before;
-  stats->group_commit_batches +=
-      ctx_.log->group_commit_batches() - gc_batches_before;
-  stats->forces_absorbed +=
-      ctx_.log->group_commit_forces_absorbed() - gc_absorbed_before;
-  stats->group_commit_gathers +=
-      ctx_.log->group_commit_gathers() - gc_gathers_before;
-  stats->group_commit_gather_timeouts +=
-      ctx_.log->group_commit_gather_timeouts() - gc_timeouts_before;
-  // Durability deltas (kInMemory mode contributes zeros): real fsyncs
-  // the run's commits paid, and media faults the file layer injected
-  // while the run overlapped them.
-  stats->fsyncs += ctx_.log->fsyncs() - fsyncs_before;
-  stats->media_faults_injected +=
-      MediaFaultInjector::Instance().faults_injected() - media_faults_before;
-  stats->deadlocks_detected += ctx_.locks->deadlocks_detected() - dd_before;
-  stats->victims_aborted += ctx_.locks->victims_aborted() - va_before;
-  stats->victim_wait_ms_saved +=
-      ctx_.locks->victim_wait_saved_ms() - vw_before;
-  if (ctx_.epoch != nullptr) {
-    // Give retirements queued at the tail of the run a drain pass now
-    // that the migration transactions are done: compaction accounting
-    // (and the fragmentation assertions in tests) wants O_old's holes
-    // back as soon as the last reader's grace period allows. Then fold
-    // the shared epoch counters as deltas, like the group-commit ones.
-    ctx_.epoch->AdvanceAndDrain();
-    stats->epoch_advances += ctx_.epoch->epochs_advanced() - ea_before;
-    stats->retire_drains += ctx_.epoch->retire_drains() - rd_before;
-    stats->latchfree_reads += ctx_.epoch->latchfree_reads() - lf_before;
-  }
-  if (pool != nullptr) {
-    stats->pool_hits += pool->pool_hits() - ph_before;
-    stats->pool_misses += pool->pool_misses() - pm_before;
-    stats->frames_evicted += pool->frames_evicted() - fe_before;
-    stats->dirty_writebacks += pool->dirty_writebacks() - dw_before;
-  }
+  FoldRunStats(ctx_, sw, before, stats);
   return result;
 }
 
@@ -311,12 +231,8 @@ Status IraReorganizer::MigrateAllAndFinish(
     const std::unordered_set<ObjectId>& traversed,
     std::vector<ObjectId> objects, MigratedSet* migrated, ParentLists* plists,
     ReorgStats* stats) {
-  Status result =
-      options.num_workers > 1
-          ? MigrateParallel(p, planner, options, traversed, objects, migrated,
-                            plists, stats)
-          : MigrateSequential(p, planner, options, traversed, objects,
-                              migrated, plists, stats);
+  Status result = RunPipe(p, planner, options, traversed, objects, migrated,
+                          plists, stats);
   if (result.IsCrashed()) {
     // Simulated crash: a dead process commits nothing, releases nothing,
     // and never reaches the GC sweep. Groups were abandoned on the way
@@ -325,14 +241,13 @@ Status IraReorganizer::MigrateAllAndFinish(
     return result;
   }
 
-  if (result.IsDegraded() || result.IsAborted() || result.IsRetryExhausted()) {
-    // Clean early stop — graceful degradation, a voluntary abort the
-    // sequential loop surfaced, or retry exhaustion. Every completed
-    // migration is committed and every rolled-back one was compensated,
-    // so the state is consistent: persist exactly how far we got
-    // (bypassing the checkpoint cadence) so a later Resume finishes the
-    // job when contention subsides.
-    MaybeCheckpoint(p, options, traversed, *plists, *stats, /*force=*/true);
+  if (result.IsDegraded() || result.IsRetryExhausted()) {
+    // Clean early stop — graceful degradation or retry exhaustion. Every
+    // completed migration is committed and every rolled-back one was
+    // compensated, so the state is consistent: persist exactly how far we
+    // got (bypassing the checkpoint cadence) so a later Resume finishes
+    // the job when contention subsides.
+    MaybeCheckpoint(p, options, traversed, *plists, *stats);
     ctx_.trt->Disable();
     return result;
   }
@@ -348,90 +263,34 @@ Status IraReorganizer::MigrateAllAndFinish(
   return result;
 }
 
-Status IraReorganizer::MigrateSequential(
-    PartitionId p, RelocationPlanner* planner, const IraOptions& options,
-    const std::unordered_set<ObjectId>& traversed,
-    const std::vector<ObjectId>& objects, MigratedSet* migrated,
-    ParentLists* plists, ReorgStats* stats) {
-  MigratorState ws;
-  Status result = Status::Ok();
-  // A worklist rather than a plain loop: a deadlock-victim abort rolls
-  // the whole open group back, un-migrating members whose loop positions
-  // had already passed — they re-enter here for another pass, the way the
-  // parallel pipe Reinjects them.
-  std::deque<std::pair<ObjectId, uint32_t>> work;  // (oid, attempt)
-  for (ObjectId oid : objects) work.emplace_back(oid, 0);
-  while (!work.empty()) {
-    const auto [oid, attempt] = work.front();
-    work.pop_front();
-    AtomicMax(&stats->trt_peak_size, ctx_.trt->Size());
-    if (!ctx_.store->Validate(oid)) continue;  // defensive: already gone
-    Status s = options.two_lock_mode
-                   ? MigrateTwoLock(oid, p, planner, options,
-                                    /*defer_on_conflict=*/false, migrated,
-                                    plists, stats)
-                   : MigrateBasic(oid, p, planner, options, &ws,
-                                  /*defer_on_conflict=*/false, migrated,
-                                  plists, stats);
-    if (s.IsDeadlockVictim()) {
-      // Chosen to break a waits-for cycle. The callee aborted and
-      // compensated everything it had in flight; requeue it plus whatever
-      // the group rollback undid. No budget charge, no lock_timeouts
-      // tally — the cycle was broken surgically, no timeout was burned.
-      if (attempt + 1 >= options.max_retries_per_object) {
-        result = Status::RetryExhausted(
-            "gave up migrating " + oid.ToString() + " after " +
-            std::to_string(options.max_retries_per_object) +
-            " victim aborts");
-        break;
-      }
-      for (ObjectId o : ws.side_effects.TakeRolledBackMigrations()) {
-        if (o != oid) work.emplace_back(o, 0);
-      }
-      work.emplace_back(oid, attempt + 1);
-      continue;
-    }
-    if (!s.ok()) {
-      result = s;
-      break;
-    }
-    MaybeCheckpoint(p, options, traversed, *plists, *stats, /*force=*/false,
-                    &ws);
-  }
-  // Degraded / retry-exhausted / error exits commit the open group: it
-  // only ever holds whole completed migrations, so committing keeps the
-  // finished work durable and releases the reorganizer's locks. A
-  // simulated crash abandons it; an Aborted result rolls it back.
-  return CloseGroup(&ws, result, stats);
-}
-
-Status IraReorganizer::MigrateParallel(
-    PartitionId p, RelocationPlanner* planner, const IraOptions& options,
-    const std::unordered_set<ObjectId>& traversed,
-    const std::vector<ObjectId>& objects, MigratedSet* migrated,
-    ParentLists* plists, ReorgStats* stats) {
+Status IraReorganizer::RunPipe(PartitionId p, RelocationPlanner* planner,
+                               const IraOptions& options,
+                               const std::unordered_set<ObjectId>& traversed,
+                               const std::vector<ObjectId>& objects,
+                               MigratedSet* migrated, ParentLists* plists,
+                               ReorgStats* stats) {
   MigrationPipe::Options popt;
-  popt.workers = options.num_workers;
+  popt.workers = std::max(options.num_workers, 1u);
   popt.checkpoint_every =
       options.checkpoint_sink != nullptr ? options.checkpoint_every : 0;
-  popt.adaptive = options.adaptive_workers;
   MigrationPipe pipe(objects, popt);
-  if (options.claim_wakeup) {
+  {
     std::lock_guard<std::mutex> g(claims_mu_);
     wake_pipe_ = &pipe;
   }
   if (options.throttle != nullptr) {
-    options.throttle->AttachPipe(&pipe, options.num_workers);
+    options.throttle->AttachPipe(&pipe, popt.workers);
   }
-  std::vector<std::thread> workers;
-  workers.reserve(options.num_workers);
-  for (uint32_t i = 0; i < options.num_workers; ++i) {
-    workers.emplace_back([&] {
-      WorkerMain(&pipe, p, planner, options, traversed, migrated, plists,
-                 stats);
-    });
-  }
-  for (std::thread& t : workers) t.join();
+  auto work = [&] {
+    WorkerMain(&pipe, p, planner, options, traversed, migrated, plists,
+               stats);
+  };
+  // The calling thread is worker 0, so a one-worker run starts no thread.
+  std::vector<std::thread> siblings;
+  siblings.reserve(popt.workers - 1);
+  for (uint32_t i = 1; i < popt.workers; ++i) siblings.emplace_back(work);
+  work();
+  for (std::thread& t : siblings) t.join();
   if (options.throttle != nullptr) options.throttle->DetachPipe(&pipe);
   {
     std::lock_guard<std::mutex> g(claims_mu_);
@@ -440,8 +299,6 @@ Status IraReorganizer::MigrateParallel(
   // Pipe-local scheduling counters fold into the run's stats after the
   // join (the pipe dies with this frame).
   stats->claim_wakeups += pipe.claim_wakeups();
-  stats->workers_shed += pipe.workers_shed();
-  stats->workers_added += pipe.workers_added();
   return pipe.result();
 }
 
@@ -452,6 +309,36 @@ void IraReorganizer::WorkerMain(MigrationPipe* pipe, PartitionId p,
                                 MigratedSet* migrated, ParentLists* plists,
                                 ReorgStats* stats) {
   MigratorState ws;
+  // Attempt count of each object when this worker last popped it. Every
+  // migration a rollback undoes re-enters the pipe one attempt further
+  // on — the failing one and the earlier members of its group alike — so
+  // an endless fault schedule always exhausts some object's retries.
+  std::unordered_map<ObjectId, uint32_t> tries;
+  // Requeues rolled-back migration `o` with backoff, or stops the pipe
+  // once `o` has used up max_retries_per_object (false). `popped` is the
+  // item this worker holds from Pop (Requeue balances that Pop; earlier
+  // group members already left the pipe and are reinjected).
+  auto retry = [&](ObjectId o, bool popped, const Status& why) -> bool {
+    const uint32_t attempt = tries[o];
+    if (attempt + 1 >= options.max_retries_per_object) {
+      pipe->Stop(Status::RetryExhausted(
+          "gave up migrating " + o.ToString() + " after " +
+          std::to_string(options.max_retries_per_object) +
+          " attempts, last: " + why.ToString()));
+      return false;
+    }
+    const std::chrono::milliseconds delay = BackoffDelay(attempt, options);
+    if (delay.count() > 0) {
+      ++stats->backoff_sleeps;
+      stats->backoff_total_ms += static_cast<uint64_t>(delay.count());
+    }
+    if (popped) {
+      pipe->Requeue(o, attempt + 1, delay);
+    } else {
+      pipe->Reinject(o, attempt + 1, delay);
+    }
+    return true;
+  };
   // Commits the open group outside the per-item migration path (barrier,
   // timed-out lock race, drain). A *clean* commit failure — an injected
   // abort at a commit site — already rolled the whole group back in
@@ -463,10 +350,15 @@ void IraReorganizer::WorkerMain(MigrationPipe* pipe, PartitionId p,
     Status cs = CloseGroup(&ws, Status::Ok(), stats);
     if (!cs.IsAborted()) return cs;
     for (ObjectId o : ws.side_effects.TakeRolledBackMigrations()) {
-      pipe->Reinject(o, 0, std::chrono::milliseconds(0));
+      retry(o, /*popped=*/false, cs);
       if (reinjected != nullptr) *reinjected = true;
     }
     return Status::Ok();
+  };
+  // Stops the pipe with `st` and retires the popped item.
+  auto stop_with = [&](Status st) {
+    pipe->Stop(std::move(st));
+    pipe->Done();
   };
   for (;;) {
     MigrationPipe::Item item;
@@ -495,8 +387,7 @@ void IraReorganizer::WorkerMain(MigrationPipe* pipe, PartitionId p,
       }
       if (pipe->ArriveBarrier()) {
         if (!pipe->stopped()) {
-          MaybeCheckpoint(p, options, traversed, *plists, *stats,
-                          /*force=*/true);
+          MaybeCheckpoint(p, options, traversed, *plists, *stats);
         }
         pipe->BarrierCut(stats->objects_migrated + options.checkpoint_every);
       }
@@ -507,140 +398,67 @@ void IraReorganizer::WorkerMain(MigrationPipe* pipe, PartitionId p,
       pipe->Done();
       continue;
     }
+    tries[item.oid] = item.attempt;
     ObjectId busy_blocker = ObjectId::Invalid();
     Status s = options.two_lock_mode
-                   ? MigrateTwoLock(item.oid, p, planner, options,
-                                    /*defer_on_conflict=*/true, migrated,
-                                    plists, stats, &busy_blocker)
+                   ? MigrateTwoLock(item.oid, p, planner, options, migrated,
+                                    plists, stats, pipe, &busy_blocker)
                    : MigrateBasic(item.oid, p, planner, options, &ws,
-                                  /*defer_on_conflict=*/true, migrated,
-                                  plists, stats, &busy_blocker);
+                                  migrated, plists, stats, &busy_blocker);
     if (s.IsBusy()) {
       // Footprint overlap with a sibling's in-flight migration. No lock
       // wait was burned and no lock is held for this object (no retry
-      // charge: deferral is flow control, not contention). Claim-aware
-      // mode parks the item under the blocking claim — ReleaseFootprint
-      // wakes exactly these waiters; the ablation mode falls back to the
-      // blind constant-delay retry timer. Either way this worker moves
-      // on to a disjoint item.
-      pipe->NoteDeferral();
-      if (options.claim_wakeup && busy_blocker.valid()) {
-        DeferOnClaim(pipe, busy_blocker, item.oid, item.attempt);
+      // charge: deferral is flow control, not contention). The item parks
+      // under the blocking claim — ReleaseFootprint wakes exactly these
+      // waiters — and this worker moves on to a disjoint item.
+      DeferOnClaim(pipe, busy_blocker, item.oid, item.attempt);
+      continue;
+    }
+    if (s.IsTimedOut() || s.IsAborted() || s.IsDeadlockVictim()) {
+      if (s.IsTimedOut()) {
+        // Lost a lock race — to a sibling worker or a user transaction.
+        // Commit the open group so this worker retains no locks while the
+        // object waits out its backoff.
+        Status cs = commit_open_group();
+        if (!cs.ok()) {
+          stop_with(cs);
+          continue;
+        }
+        if (BudgetExhausted(options, *stats)) {
+          stop_with(Status::Degraded("contention budget exhausted at " +
+                                     item.oid.ToString()));
+          continue;
+        }
       } else {
-        pipe->Requeue(item.oid, item.attempt, kMigrationRequeueDelay);
-      }
-      continue;
-    }
-    if (s.IsTimedOut()) {
-      // Lost a lock race — to a sibling worker or a user transaction.
-      // Commit the open group so this worker retains no locks while the
-      // object waits out its backoff, then requeue it.
-      Status cs = commit_open_group();
-      if (!cs.ok()) {
-        pipe->Stop(cs);
-        pipe->Done();
-        continue;
-      }
-      if (BudgetExhausted(options, *stats)) {
-        pipe->Stop(Status::Degraded("contention budget exhausted at " +
-                                    item.oid.ToString()));
-        pipe->Done();
-        continue;
-      }
-      if (item.attempt + 1 >= options.max_retries_per_object) {
-        pipe->Stop(Status::RetryExhausted(
-            "gave up migrating " + item.oid.ToString() + " after " +
-            std::to_string(options.max_retries_per_object) + " retries"));
-        pipe->Done();
-        continue;
-      }
-      const std::chrono::milliseconds delay =
-          BackoffDelay(item.attempt, options);
-      if (delay.count() > 0) {
-        ++stats->backoff_sleeps;
-        stats->backoff_total_ms += static_cast<uint64_t>(delay.count());
-      }
-      pipe->Requeue(item.oid, item.attempt + 1, delay);
-      continue;
-    }
-    if (s.IsAborted()) {
-      // The migration transaction aborted cleanly (injected abort, a
-      // future deadlock victim): WAL undo and side-effect replay restored
-      // the pre-migration state, so the pipeline requeues instead of
-      // halting. Roll back the open group too — its earlier migrations
-      // shared the aborted path's transaction scope — and re-inject every
-      // migration the rollback undid.
-      CloseGroup(&ws, s, stats);
-      std::unordered_set<ObjectId> again;
-      again.insert(item.oid);
-      for (ObjectId o : ws.side_effects.TakeRolledBackMigrations()) {
-        again.insert(o);
-      }
-      if (item.attempt + 1 >= options.max_retries_per_object) {
-        // An unlimited-trigger abort schedule must still terminate.
-        pipe->Stop(Status::RetryExhausted(
-            "gave up migrating " + item.oid.ToString() + " after " +
-            std::to_string(options.max_retries_per_object) + " aborts"));
-        pipe->Done();
-        continue;
-      }
-      const std::chrono::milliseconds delay =
-          BackoffDelay(item.attempt, options);
-      for (ObjectId o : again) {
-        if (o == item.oid) {
-          pipe->Requeue(o, item.attempt + 1, delay);
-        } else {
-          pipe->Reinject(o, 0, delay);
+        // The migration transaction aborted cleanly — an injected abort,
+        // or chosen to break a waits-for cycle — and WAL undo plus
+        // side-effect replay restored the pre-migration state. Roll the
+        // open group back too (its earlier migrations shared the aborted
+        // path's transaction scope; a victim's callee already did) and
+        // requeue every migration the rollback undid. A victim is charged
+        // to neither lock_timeouts nor the contention budget: detection
+        // saved the timeout, it did not burn one.
+        if (s.IsAborted()) CloseGroup(&ws, s, stats);
+        for (ObjectId o : ws.side_effects.TakeRolledBackMigrations()) {
+          if (o != item.oid) retry(o, /*popped=*/false, s);
         }
       }
-      continue;
-    }
-    if (s.IsDeadlockVictim()) {
-      // Chosen to break a waits-for cycle. The callee aborted and
-      // compensated (the open group in basic mode, the bail path in
-      // two-lock), so requeue like a clean abort — but with no
-      // lock_timeouts tally and no contention-budget charge: detection
-      // saved the timeout, it did not burn one.
-      std::unordered_set<ObjectId> again;
-      again.insert(item.oid);
-      for (ObjectId o : ws.side_effects.TakeRolledBackMigrations()) {
-        again.insert(o);
-      }
-      if (item.attempt + 1 >= options.max_retries_per_object) {
-        pipe->Stop(Status::RetryExhausted(
-            "gave up migrating " + item.oid.ToString() + " after " +
-            std::to_string(options.max_retries_per_object) +
-            " victim aborts"));
-        pipe->Done();
-        continue;
-      }
-      const std::chrono::milliseconds delay =
-          BackoffDelay(item.attempt, options);
-      for (ObjectId o : again) {
-        if (o == item.oid) {
-          pipe->Requeue(o, item.attempt + 1, delay);
-        } else {
-          pipe->Reinject(o, 0, delay);
-        }
-      }
+      if (!retry(item.oid, /*popped=*/true, s)) pipe->Done();
       continue;
     }
     if (!s.ok()) {
-      pipe->Stop(s);
-      pipe->Done();
+      stop_with(s);
       continue;
     }
     pipe->Done();
-    pipe->NoteMigrated();
     if (options.checkpoint_sink != nullptr && options.checkpoint_every > 0 &&
         pipe->CheckpointDue(stats->objects_migrated)) {
       pipe->RequestCheckpoint();
     }
   }
-  // Same exit semantics as the sequential loop: a crashed pipeline
-  // abandons open groups (a dead process commits nothing); any other
-  // exit commits them to keep finished migrations durable.
   if (pipe->result().IsCrashed()) {
+    // A crashed pipeline abandons open groups: a dead process commits
+    // nothing.
     if (ws.group_txn != nullptr) {
       ws.group_txn->Abandon();
       ws.group_txn.reset();
@@ -675,7 +493,7 @@ Status IraReorganizer::CloseGroup(MigratorState* ws, Status result,
     if (ws->group_txn != nullptr) {
       ws->group_txn->Abort();
       ws->group_txn.reset();
-      if (stats != nullptr) ++stats->aborts_rolled_back;
+      ++stats->aborts_rolled_back;
     }
     ws->in_group = 0;
     return result;
@@ -693,7 +511,7 @@ Status IraReorganizer::CloseGroup(MigratorState* ws, Status result,
       // site): the transaction is still active — roll it back so the
       // caller sees fully-compensated state, not a half-committed one.
       ws->group_txn->Abort();
-      if (stats != nullptr) ++stats->aborts_rolled_back;
+      ++stats->aborts_rolled_back;
     }
     ws->group_txn.reset();
     if (result.ok() && !cs.ok()) result = cs;
@@ -728,18 +546,8 @@ void IraReorganizer::BackoffSleep(uint32_t attempt, const IraOptions& options,
 void IraReorganizer::MaybeCheckpoint(
     PartitionId p, const IraOptions& options,
     const std::unordered_set<ObjectId>& traversed, const ParentLists& plists,
-    const ReorgStats& stats, bool force, const MigratorState* ws) {
+    const ReorgStats& stats) {
   if (options.checkpoint_sink == nullptr) return;
-  if (!force) {
-    if (options.checkpoint_every == 0) return;
-    if (stats.objects_migrated % options.checkpoint_every != 0) return;
-    // Checkpointed state must only cover *committed* migrations: with
-    // grouping, the open group transaction's moves would be lost by a
-    // crash, so checkpoint only at group boundaries. (A forced checkpoint
-    // is only taken after every open group has been committed — on the
-    // parallel path, at the barrier.)
-    if (ws != nullptr && ws->group_txn != nullptr && ws->in_group != 0) return;
-  }
   ReorgCheckpoint* ckpt = options.checkpoint_sink;
   ckpt->partition = p;
   ckpt->lsn = ctx_.log->last_lsn();
@@ -907,7 +715,7 @@ Status IraReorganizer::FindExactParents(ObjectId oid, Transaction* txn,
     // migrating one of oid's parents P replaced P by P_new in oid's list
     // (FinishMigration's child fix-up). The set is exact only once every
     // listed parent is held — at that point all of them are pinned, so no
-    // concurrent migration can change the list anymore. Sequential runs
+    // concurrent migration can change the list anymore. One-worker runs
     // pass on the first iteration.
     bool stable = true;
     for (ObjectId r : plists->Get(oid)) {
@@ -924,174 +732,129 @@ Status IraReorganizer::FindExactParents(ObjectId oid, Transaction* txn,
 Status IraReorganizer::MigrateBasic(ObjectId oid, PartitionId p,
                                     RelocationPlanner* planner,
                                     const IraOptions& options,
-                                    MigratorState* ws, bool defer_on_conflict,
-                                    MigratedSet* migrated, ParentLists* plists,
-                                    ReorgStats* stats, ObjectId* busy_blocker) {
-  bool claimed = false;
-  auto release_claim = MakeCleanup([&] {
-    if (claimed) ReleaseFootprint(oid);
-  });
-  if (defer_on_conflict) {
-    if (!TryClaimFootprint(oid, plists->Get(oid), busy_blocker)) {
-      ++stats->claim_deferrals;
-      return Status::Busy("deferred: conflicting migration footprint at " +
-                          oid.ToString());
-    }
-    claimed = true;
+                                    MigratorState* ws, MigratedSet* migrated,
+                                    ParentLists* plists, ReorgStats* stats,
+                                    ObjectId* busy_blocker) {
+  if (!TryClaimFootprint(oid, plists->Get(oid), busy_blocker)) {
+    ++stats->claim_deferrals;
+    return Status::Busy("deferred: conflicting migration footprint at " +
+                        oid.ToString());
   }
-  for (uint32_t attempt = 0; attempt < options.max_retries_per_object;
-       ++attempt) {
-    if (ws->group_txn == nullptr) {
-      ws->group_txn = ctx_.txns->Begin(LogSource::kReorg);
-      ws->in_group = 0;
-      // Side-table mutations under this transaction record compensating
-      // closures; an abort replays them before the locks drop.
-      ws->side_effects.set_compensation_counter(
-          &stats->side_effects_compensated);
-      ws->group_txn->set_side_effect_log(&ws->side_effects);
-    }
-    Transaction* txn = ws->group_txn.get();
-    std::vector<ObjectId> newly_locked;
-    Status s = Status::Ok();
-    if (defer_on_conflict && !txn->Holds(oid)) {
-      // With sibling workers, basic mode must own-lock the object being
-      // migrated: FreeObject is lock-free for reorg transactions, and a
-      // sibling holding oid as a *parent* could otherwise rewrite its
-      // slots between this worker's content copy and the free.
-      s = txn->LockWithTimeout(oid, LockMode::kExclusive,
-                               options.lock_timeout);
-      if (s.ok()) {
-        newly_locked.push_back(oid);
-        if (options.wait_for_historical_lockers) {
-          WaitForHistoricalLockers(oid, txn);
-        }
-      } else if (s.IsTimedOut()) {
-        ++stats->lock_timeouts;
-      }
-    }
+  auto release_claim = MakeCleanup([&] { ReleaseFootprint(oid); });
+  if (ws->group_txn == nullptr) {
+    ws->group_txn = ctx_.txns->Begin(LogSource::kReorg);
+    ws->in_group = 0;
+    // Side-table mutations under this transaction record compensating
+    // closures; an abort replays them before the locks drop.
+    ws->side_effects.set_compensation_counter(
+        &stats->side_effects_compensated);
+    ws->group_txn->set_side_effect_log(&ws->side_effects);
+  }
+  Transaction* txn = ws->group_txn.get();
+  std::vector<ObjectId> newly_locked;
+  Status s = Status::Ok();
+  if (options.num_workers > 1 && !txn->Holds(oid)) {
+    // With sibling workers, basic mode must own-lock the object being
+    // migrated: FreeObject is lock-free for reorg transactions, and a
+    // sibling holding oid as a *parent* could otherwise rewrite its slots
+    // between this worker's content copy and the free. One worker locks
+    // exactly the paper's basic-mode set: the parents.
+    s = txn->LockWithTimeout(oid, LockMode::kExclusive, options.lock_timeout);
     if (s.ok()) {
-      s = FindExactParents(oid, txn, options, plists, &newly_locked, stats);
+      newly_locked.push_back(oid);
+      if (options.wait_for_historical_lockers) {
+        WaitForHistoricalLockers(oid, txn);
+      }
+    } else if (s.IsTimedOut()) {
+      ++stats->lock_timeouts;
     }
-    if (s.IsTimedOut()) {
-      // Release only this object's locks and re-run Find_Exact_Parents
-      // (the paper: it must be reinvoked if it fails due to a deadlock).
-      for (ObjectId l : newly_locked) txn->Unlock(l);
-      ++stats->find_exact_retries;
-      if (defer_on_conflict) {
-        // Parallel pipeline: the caller requeues the object with backoff
-        // (and owns the budget / retry-exhaustion checks).
-        return s;
-      }
-      if (BudgetExhausted(options, *stats)) {
-        // Clean point: no locks held for this object; the group only
-        // holds whole completed migrations.
-        return Status::Degraded("contention budget exhausted at " +
-                                oid.ToString());
-      }
-      if (attempt + 1 < options.max_retries_per_object) {
-        BackoffSleep(attempt, options, stats);
-      }
-      continue;
-    }
-    if (s.IsDeadlockVictim()) {
-      // Selected to break a waits-for cycle: the cycle runs through locks
-      // this group transaction HOLDS, so unlocking just this object's new
-      // locks would not break it — abort the whole group. WAL undo plus
-      // side-effect replay restore every member and release every lock;
-      // the caller requeues the rolled-back migrations. Deliberately not
-      // charged to lock_timeouts or the contention budget.
+  }
+  if (s.ok()) {
+    s = FindExactParents(oid, txn, options, plists, &newly_locked, stats);
+  }
+  if (s.IsTimedOut()) {
+    // Release only this object's locks; the pipe requeues the object with
+    // backoff and Find_Exact_Parents reruns (the paper: it must be
+    // reinvoked if it fails due to a deadlock).
+    for (ObjectId l : newly_locked) txn->Unlock(l);
+    ++stats->find_exact_retries;
+    return s;
+  }
+  if (s.IsDeadlockVictim()) {
+    // Selected to break a waits-for cycle: the cycle runs through locks
+    // this group transaction HOLDS, so unlocking just this object's new
+    // locks would not break it — abort the whole group. WAL undo plus
+    // side-effect replay restore every member and release every lock;
+    // the caller requeues the rolled-back migrations. Deliberately not
+    // charged to lock_timeouts or the contention budget.
+    ws->group_txn->Abort();
+    ++stats->aborts_rolled_back;
+    ws->group_txn.reset();
+    ws->in_group = 0;
+    return s;
+  }
+  if (!s.ok()) return s;
+  // Crash here: exact parents locked, nothing moved yet. Recovery sees
+  // only completed (uncommitted) group work, which it undoes.
+  BRAHMA_FAILPOINT("ira:basic:after-parent-locks");
+
+  ObjectId onew;
+  s = MoveObjectAndUpdateRefs(ctx_, txn, oid, planner, plists->Get(oid), p,
+                              migrated, plists, stats, &onew);
+  if (!s.ok()) {
+    if (s.IsCrashed()) {
+      ws->group_txn->Abandon();
+    } else {
+      // Clean rollback: WAL undo restores object state, the side-effect
+      // replay (triggered inside Abort, before lock release) restores
+      // the side tables — including earlier migrations of this group.
       ws->group_txn->Abort();
       ++stats->aborts_rolled_back;
-      ws->group_txn.reset();
-      ws->in_group = 0;
-      return s;
     }
-    if (!s.ok()) return s;
-    // Crash here: exact parents locked, nothing moved yet. Recovery sees
-    // only completed (uncommitted) group work, which it undoes.
-    BRAHMA_FAILPOINT("ira:basic:after-parent-locks");
-
-    ObjectId onew;
-    s = MoveObjectAndUpdateRefs(ctx_, txn, oid, planner, plists->Get(oid), p,
-                                migrated, plists, stats, &onew);
-    if (!s.ok()) {
-      if (s.IsCrashed()) {
-        ws->group_txn->Abandon();
-      } else {
-        // Clean rollback: WAL undo restores object state, the side-effect
-        // replay (triggered inside Abort, before lock release) restores
-        // the side tables — including earlier migrations of this group.
-        ws->group_txn->Abort();
-        ++stats->aborts_rolled_back;
-      }
-      ws->group_txn.reset();
-      ws->in_group = 0;
-      return s;
-    }
-    migrated->Insert(oid);
-    RecordReverseRelocation(onew, oid);
-    {
-      // The migration markers roll back with the group: replaying this
-      // entry un-migrates the object and reports it for requeue.
-      IraReorganizer* self = this;
-      MigratedSet* mset = migrated;
-      ws->side_effects.RecordMigrated(txn->id(), oid,
-                                      [self, mset, oid, onew] {
-                                        mset->Erase(oid);
-                                        std::lock_guard<std::mutex> g(
-                                            self->reloc_mu_);
-                                        self->reverse_relocation_.erase(onew);
-                                      });
-    }
-    AtomicMax(&stats->max_distinct_objects_locked, txn->num_locks_held());
-    if (++ws->in_group >= options.group_size) {
-      // Crash here: the whole group's migrations are in the (unflushed)
-      // log without a commit record — recovery rolls them all back.
-      BRAHMA_FAILPOINT("ira:basic:before-commit");
-      Status cs = ws->group_txn->Commit();
-      if (cs.IsCrashed()) {
-        ws->group_txn->Abandon();
-      } else if (!cs.ok()) {
-        // The commit itself failed cleanly (injected abort at a commit
-        // site): the transaction is still active — roll it back so the
-        // caller sees fully-compensated state, not a half-committed one.
-        ws->group_txn->Abort();
-        ++stats->aborts_rolled_back;
-      }
-      ws->group_txn.reset();
-      ws->in_group = 0;
-      if (!cs.ok()) return cs;
-    }
-    return Status::Ok();
+    ws->group_txn.reset();
+    ws->in_group = 0;
+    return s;
   }
-  return Status::RetryExhausted(
-      "gave up migrating " + oid.ToString() + " after " +
-      std::to_string(options.max_retries_per_object) + " retries");
+  migrated->Insert(oid);
+  RecordReverseRelocation(onew, oid);
+  {
+    // The migration markers roll back with the group: replaying this
+    // entry un-migrates the object and reports it for requeue.
+    IraReorganizer* self = this;
+    MigratedSet* mset = migrated;
+    ws->side_effects.RecordMigrated(txn->id(), oid, [self, mset, oid, onew] {
+      mset->Erase(oid);
+      std::lock_guard<std::mutex> g(self->reloc_mu_);
+      self->reverse_relocation_.erase(onew);
+    });
+  }
+  AtomicMax(&stats->max_distinct_objects_locked, txn->num_locks_held());
+  if (++ws->in_group >= options.group_size) {
+    // Crash here: the whole group's migrations are in the (unflushed)
+    // log without a commit record — recovery rolls them all back.
+    BRAHMA_FAILPOINT("ira:basic:before-commit");
+    return CloseGroup(ws, Status::Ok(), stats);
+  }
+  return Status::Ok();
 }
 
 Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
                                       RelocationPlanner* planner,
                                       const IraOptions& options,
-                                      bool defer_on_conflict,
                                       MigratedSet* migrated,
                                       ParentLists* plists, ReorgStats* stats,
+                                      MigrationPipe* pipe,
                                       ObjectId* busy_blocker) {
-  bool claimed = false;
-  auto release_claim = MakeCleanup([&] {
-    if (claimed) ReleaseFootprint(oid);
-  });
-  if (defer_on_conflict) {
-    // Claim before taking any lock: anchor locks are held to completion,
-    // so overlapping in-flight migrations could wait on each other
-    // forever (or at best serialize on a shared parent). A footprint
-    // conflict defers instantly instead of burning a lock wait.
-    if (!TryClaimFootprint(oid, plists->Get(oid), busy_blocker)) {
-      ++stats->claim_deferrals;
-      return Status::Busy("deferred: conflicting migration footprint at " +
-                          oid.ToString());
-    }
-    claimed = true;
+  // Claim before taking any lock: anchor locks are held to completion, so
+  // overlapping in-flight migrations could wait on each other forever (or
+  // at best serialize on a shared parent). A footprint conflict defers
+  // instantly instead of burning a lock wait.
+  if (!TryClaimFootprint(oid, plists->Get(oid), busy_blocker)) {
+    ++stats->claim_deferrals;
+    return Status::Busy("deferred: conflicting migration footprint at " +
+                        oid.ToString());
   }
+  auto release_claim = MakeCleanup([&] { ReleaseFootprint(oid); });
   // Compensation log for this migration. Two-lock mode commits O_new's
   // create and the parent rewrites in their own transactions mid-flight,
   // so rolling the migration back needs two phases: pending replay for
@@ -1103,46 +866,21 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
 
   // Anchor transaction: lock the object being migrated, in both the old
   // and (once created) the new location, for the whole migration.
-  std::unique_ptr<Transaction> anchor;
-  for (uint32_t attempt = 0;; ++attempt) {
-    if (attempt >= options.max_retries_per_object) {
-      return Status::RetryExhausted("gave up locking " + oid.ToString());
-    }
-    anchor = ctx_.txns->Begin(LogSource::kReorg);
+  std::unique_ptr<Transaction> anchor = ctx_.txns->Begin(LogSource::kReorg);
+  {
     Status s = anchor->LockWithTimeout(oid, LockMode::kExclusive,
                                        options.lock_timeout);
-    if (s.ok()) break;
     if (s.IsCrashed()) {
       anchor->Abandon();
       return s;
     }
-    if (s.IsDeadlockVictim()) {
-      // Broke a waits-for cycle before holding anything for this object:
-      // abort the empty anchor and retry in place (sequential) or let the
-      // pipeline requeue (parallel). No timeout burned, so neither
-      // lock_timeouts nor the contention budget is charged.
+    if (!s.ok()) {
+      // Nothing is held for this object yet: abort the empty anchor and
+      // let the pipe requeue the object with backoff. A deadlock victim
+      // burned no timeout, so only a timeout is charged.
+      if (s.IsTimedOut()) ++stats->lock_timeouts;
       anchor->Abort();
-      if (defer_on_conflict) return s;
-      continue;
-    }
-    ++stats->lock_timeouts;
-    anchor->Abort();
-    if (defer_on_conflict) {
-      // Parallel pipeline: requeue with backoff instead of spinning here
-      // (the caller owns the budget / retry-exhaustion checks).
       return s;
-    }
-    if (BudgetExhausted(options, *stats)) {
-      // The only degradation point in two-lock mode: nothing has happened
-      // for this object yet, so stopping here leaves no dual-copy state.
-      // (Mid-object contention keeps retrying to max_retries_per_object:
-      // giving up after O_new commits would leave both copies reachable
-      // with no crash-recovery pass scheduled to fold them.)
-      return Status::Degraded("contention budget exhausted at " +
-                              oid.ToString());
-    }
-    if (attempt + 1 < options.max_retries_per_object) {
-      BackoffSleep(attempt, options, stats);
     }
   }
   anchor->set_side_effect_log(&sel);
@@ -1163,6 +901,10 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
   // state, mirroring the reasoning at FinishMigration's publication.
   std::unique_ptr<Transaction> ptxn;
   auto bail = [&](Status s) -> Status {
+    // Once a sibling worker's simulated crash stopped the pipe, this
+    // worker belongs to a dead process too: abandon rather than
+    // compensate against locks the crashed worker will never release.
+    if (Status ps = pipe->result(); ps.IsCrashed()) s = ps;
     if (ptxn != nullptr) {
       if (s.IsCrashed()) {
         ptxn->Abandon();
@@ -1218,11 +960,12 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
     }
     // Once the create commits, the WAL can no longer undo it — a later
     // bail must free O_new with a fresh transaction. No pending undo: an
-    // uncommitted create is fully reversed by ctxn's own WAL undo. No
-    // ERT entries exist for O_new's out-edges yet (the analyzer skips
-    // reorg records; FinishMigration adds them much later), so the free
-    // is the entire reversal. Compensation order guarantees every parent
-    // has been re-pointed at O_old before this runs.
+    // uncommitted create is fully reversed by ctxn's own WAL undo. The
+    // only ERT entries for O_new's out-edges are FinishMigration's, which
+    // are pending in the anchor and leave with its abort (bail aborts the
+    // anchor after compensating), so the free is the entire reversal.
+    // Compensation order guarantees every parent has been re-pointed at
+    // O_old before this runs.
     sel.RecordCompensable(
         ctxn->id(), SideEffectLog::Kind::kCommittedCreate,
         /*undo=*/nullptr, /*compensate=*/[this, onew]() -> Status {
@@ -1294,6 +1037,10 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
       }
       if (!s.ok()) {
         ++stats->lock_timeouts;
+        // The lock may belong to a sibling that crashed (its abandoned
+        // transactions never release): stop retrying once the pipe says
+        // the process is dead. bail abandons this migration.
+        if (Status ps = pipe->result(); ps.IsCrashed()) return ps;
         // Keep completed parent updates; retry this parent afresh.
         Status cs = commit_group();
         if (!cs.ok()) return cs;
@@ -1368,6 +1115,13 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
                   if (ResolveRelocated(*ctx_.store, *stats, rr) == rr) break;
                   continue;
                 }
+                // As in process_parent: a user transaction may have
+                // edited rr since the forward rewrite committed (e.g.
+                // moved the O_new reference to another slot). Sync so its
+                // records reach the ERT before this rewrite adjusts it;
+                // otherwise the analyzer would later replay them onto an
+                // ERT that no longer lists O_new and leave a stale entry.
+                ctx_.analyzer->Sync();
                 Status rs = RewriteParentEdge(ctx_, t.get(), rr, onew, oid,
                                               onew.partition(), nullptr);
                 if (!rs.ok()) {

@@ -48,25 +48,28 @@ struct IraOptions {
   // with user transactions are broken by timeout, Section 5).
   std::chrono::milliseconds lock_timeout = kPaperLockTimeout;
 
-  // Safety valve on Find_Exact_Parents retries per object. Exhausting it
-  // returns Status::RetryExhausted with no reorganizer locks left held.
+  // Safety valve on retries per object: requeues after a lock timeout,
+  // a deadlock-victim abort or a clean abort, and two-lock mode's
+  // per-parent lock retries. Exhausting it returns Status::RetryExhausted
+  // with no reorganizer locks left held.
   uint32_t max_retries_per_object = 10000;
 
-  // Exponential backoff between lock-timeout retries: sleep
-  // min(backoff_initial << attempt, backoff_max) before re-trying, so a
-  // reorganizer losing deadlock breaks does not spin-starve the user
-  // transactions it is losing to. backoff_initial of zero disables.
+  // Exponential backoff between retries: a requeued migration (or a
+  // two-lock parent retry) waits min(backoff_initial << attempt,
+  // backoff_max), so a reorganizer losing deadlock breaks does not
+  // spin-starve the user transactions it is losing to. backoff_initial of
+  // zero disables.
   std::chrono::milliseconds backoff_initial{1};
   std::chrono::milliseconds backoff_max{64};
 
   // Graceful degradation: after this many cumulative lock timeouts the
-  // run stops instead of retrying forever — the open migration group is
+  // run stops instead of retrying forever — every open migration group is
   // committed, a checkpoint is forced into checkpoint_sink (if any), and
   // Run/Resume return Status::Degraded. Completed migrations stay
   // durable; a later Resume from the checkpoint finishes the job when
   // contention subsides. 0 = unlimited (retry until
-  // max_retries_per_object per object). With num_workers > 1 the budget
-  // aggregates timeouts across all workers.
+  // max_retries_per_object per object). The budget aggregates timeouts
+  // across all workers.
   uint64_t contention_budget = 0;
 
   // Section 4.4: checkpoint the reorganization state (Traversed_Objects,
@@ -76,35 +79,23 @@ struct IraOptions {
   ReorgCheckpoint* checkpoint_sink = nullptr;
   uint32_t checkpoint_every = 0;
 
-  // Parallel migration pipeline: number of migrator worker threads fed
-  // from a shared work queue over the planner's order. 1 (default) runs
-  // the classic sequential loop. With N > 1, each worker drives its own
-  // reorg transaction through the same MigrateBasic / MigrateTwoLock
-  // paths; a worker losing a lock race to a sibling defers — it requeues
-  // the object with exponential backoff instead of blocking the pipeline.
-  // Checkpoints are taken at a barrier so they snapshot a consistent
-  // prefix (no worker is mid-group while the snapshot is cut).
+  // Migrator worker threads fed from one shared work queue (the
+  // MigrationPipe) over the planner's order; 1 is the paper's sequential
+  // reorganizer. Each worker drives its own reorg transactions through
+  // MigrateBasic / MigrateTwoLock. A migration that times out on a lock,
+  // is chosen as a deadlock victim or aborts cleanly is requeued with
+  // exponential backoff (up to max_retries_per_object) while the worker
+  // moves on; one whose footprint overlaps a sibling's in-flight
+  // migration parks until that claim drops. Checkpoints are taken at a
+  // barrier so they snapshot a consistent prefix (no worker is mid-group
+  // while the snapshot is cut).
   uint32_t num_workers = 1;
 
-  // Claim-aware wakeup (parallel pipeline): a migration deferred by a
-  // footprint conflict parks under the blocking claim and is woken the
-  // instant ReleaseFootprint drops that claim, instead of polling on the
-  // blind kMigrationRequeueDelay timer. Off = the PR 2 retry-timer
-  // behavior (kept as a bench ablation knob).
-  bool claim_wakeup = true;
-
-  // Adaptive worker control (parallel pipeline): shed a worker when the
-  // windowed claim_deferrals : objects_migrated ratio says the remaining
-  // clusters are too entangled to parallelize, add one back when
-  // deferrals fade. Thresholds come from params.h (kAdaptive*).
-  bool adaptive_workers = false;
-
-  // SLO-driven admission control (DESIGN.md §14): when set, the parallel
-  // pipeline's worker count is additionally capped by this throttle —
-  // the serving layer feeds it live user-latency samples and it sheds or
-  // paces migration workers whenever the sliding-window p99 exceeds the
-  // SLO. Ignored by the sequential path (num_workers <= 1). The pointer
-  // must outlive Run/Resume.
+  // SLO-driven admission control (DESIGN.md §14): when set, the pipeline's
+  // worker count is additionally capped by this throttle — the serving
+  // layer feeds it live user-latency samples and it sheds or paces
+  // migration workers whenever the sliding-window p99 exceeds the SLO.
+  // The pointer must outlive Run/Resume.
   ReorgThrottle* throttle = nullptr;
 };
 
@@ -144,17 +135,19 @@ class IraReorganizer {
   friend class MigrationPipe;
 
   // Per-worker migration state: the open Section 4.3 group transaction
-  // and the compensation log its side effects are recorded in. The
-  // sequential path uses a single instance; the parallel pipeline gives
-  // each worker its own.
+  // and the compensation log its side effects are recorded in.
   struct MigratorState {
     std::unique_ptr<Transaction> group_txn;
     uint32_t in_group = 0;
     SideEffectLog side_effects;
   };
 
-  // Shared second step: migrate `objects` (skipping already-migrated /
-  // freed ones), then optionally sweep garbage and disable the TRT.
+  // Clears the per-run relocation and claim tables.
+  void ResetRunState();
+
+  // Shared second step: migrate `objects` through the pipe (skipping
+  // already-migrated / freed ones), then optionally sweep garbage and
+  // disable the TRT.
   Status MigrateAllAndFinish(PartitionId p, RelocationPlanner* planner,
                              const IraOptions& options,
                              const std::unordered_set<ObjectId>& traversed,
@@ -162,27 +155,18 @@ class IraReorganizer {
                              MigratedSet* migrated, ParentLists* plists,
                              ReorgStats* stats);
 
-  // Sequential migration loop (num_workers <= 1): today's behavior.
-  Status MigrateSequential(PartitionId p, RelocationPlanner* planner,
-                           const IraOptions& options,
-                           const std::unordered_set<ObjectId>& traversed,
-                           const std::vector<ObjectId>& objects,
-                           MigratedSet* migrated, ParentLists* plists,
-                           ReorgStats* stats);
-
-  // Parallel migration pipeline (num_workers > 1): a work-stealing queue
-  // over the planner's order feeds N migrator workers. Returns the first
-  // non-ok status any worker hit (crash wins over everything else).
-  Status MigrateParallel(PartitionId p, RelocationPlanner* planner,
-                         const IraOptions& options,
-                         const std::unordered_set<ObjectId>& traversed,
-                         const std::vector<ObjectId>& objects,
-                         MigratedSet* migrated, ParentLists* plists,
-                         ReorgStats* stats);
+  // The migration loop: a work queue over the planner's order feeds
+  // options.num_workers migrator workers. Returns the first non-ok status
+  // any worker hit (crash wins over everything else).
+  Status RunPipe(PartitionId p, RelocationPlanner* planner,
+                 const IraOptions& options,
+                 const std::unordered_set<ObjectId>& traversed,
+                 const std::vector<ObjectId>& objects, MigratedSet* migrated,
+                 ParentLists* plists, ReorgStats* stats);
 
   // One migrator worker: pops objects from the pipe, migrates them via
-  // MigrateBasic / MigrateTwoLock with defer-on-conflict, requeues losers
-  // with backoff, and participates in checkpoint barriers.
+  // MigrateBasic / MigrateTwoLock, requeues losers with backoff, and
+  // participates in checkpoint barriers.
   void WorkerMain(MigrationPipe* pipe, PartitionId p,
                   RelocationPlanner* planner, const IraOptions& options,
                   const std::unordered_set<ObjectId>& traversed,
@@ -192,15 +176,15 @@ class IraReorganizer {
   // Commits ws's open group and folds the commit status into `result`.
   // A crashed result abandons the group (a dead process commits nothing);
   // an Aborted result rolls the whole open group back — its transaction
-  // aborts, replaying the group's side effects (accounted in *stats when
-  // provided).
+  // aborts, replaying the group's side effects (accounted in *stats).
   static Status CloseGroup(MigratorState* ws, Status result,
-                           ReorgStats* stats = nullptr);
+                           ReorgStats* stats);
 
+  // Snapshots the reorganization state into options.checkpoint_sink (if
+  // any). Callers guarantee no migration group is open.
   void MaybeCheckpoint(PartitionId p, const IraOptions& options,
                        const std::unordered_set<ObjectId>& traversed,
-                       const ParentLists& plists, const ReorgStats& stats,
-                       bool force = false, const MigratorState* ws = nullptr);
+                       const ParentLists& plists, const ReorgStats& stats);
 
   // Sleeps the exponential-backoff delay for the given retry attempt and
   // accounts for it in stats. No-op when backoff is disabled.
@@ -225,24 +209,23 @@ class IraReorganizer {
                           std::vector<ObjectId>* newly_locked,
                           ReorgStats* stats);
 
-  // defer_on_conflict (parallel pipeline): a lock timeout returns
-  // Status::TimedOut immediately — with every lock taken for this object
-  // released and the open group committed — instead of retrying
-  // internally, so the caller can requeue the object with backoff. A
-  // footprint conflict returns Status::Busy with *busy_blocker naming
-  // the anchor of the claim that blocked it (when non-null), so the
-  // pipeline can park the item under exactly that claim.
+  // One migration attempt. A lock timeout returns Status::TimedOut with
+  // every lock taken for this object released, so the pipe can requeue
+  // the object with backoff. A footprint conflict returns Status::Busy
+  // with *busy_blocker naming the anchor of the claim that blocked it, so
+  // the pipe can park the item under exactly that claim.
   Status MigrateBasic(ObjectId oid, PartitionId p, RelocationPlanner* planner,
                       const IraOptions& options, MigratorState* ws,
-                      bool defer_on_conflict, MigratedSet* migrated,
-                      ParentLists* plists, ReorgStats* stats,
-                      ObjectId* busy_blocker = nullptr);
+                      MigratedSet* migrated, ParentLists* plists,
+                      ReorgStats* stats, ObjectId* busy_blocker);
 
+  // Two-lock mode retries a parent lock in place (the migration is
+  // mid-flight by then) until `pipe` reports a crash.
   Status MigrateTwoLock(ObjectId oid, PartitionId p,
                         RelocationPlanner* planner, const IraOptions& options,
-                        bool defer_on_conflict, MigratedSet* migrated,
-                        ParentLists* plists, ReorgStats* stats,
-                        ObjectId* busy_blocker = nullptr);
+                        MigratedSet* migrated, ParentLists* plists,
+                        ReorgStats* stats, MigrationPipe* pipe,
+                        ObjectId* busy_blocker);
 
   // Parallel deadlock/livelock avoidance: a migration claims its anchor
   // and its initial parent snapshot before taking any lock; two claims
@@ -253,8 +236,7 @@ class IraReorganizer {
   // instead of serializing on the shared parent for a full migration
   // apiece. The loser returns false with *blocker naming the conflicting
   // claim's anchor (when non-null); the pipeline parks the object under
-  // that claim (claim_wakeup) or requeues it with a short constant delay
-  // (ablation mode) — either way, no retry charge.
+  // that claim, with no retry charge.
   bool TryClaimFootprint(ObjectId oid, const std::vector<ObjectId>& parents,
                          ObjectId* blocker = nullptr);
   void ReleaseFootprint(ObjectId oid);
@@ -286,7 +268,7 @@ class IraReorganizer {
   std::mutex claims_mu_;
   std::unordered_map<ObjectId, std::unordered_set<ObjectId>> claims_;
   // Pipe to notify when a claim drops (claim-aware wakeup). Set by
-  // MigrateParallel for the run's duration; guarded by claims_mu_. Lock
+  // RunPipe for the run's duration; guarded by claims_mu_. Lock
   // order is strictly claims_mu_ -> pipe mutex (the pipe never calls
   // back into the reorganizer), so release-and-wake is race-free.
   MigrationPipe* wake_pipe_ = nullptr;

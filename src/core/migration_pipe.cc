@@ -1,16 +1,13 @@
 #include "core/migration_pipe.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace brahma {
 
 MigrationPipe::MigrationPipe(const std::vector<ObjectId>& objects,
                              const Options& opts)
-    : opts_(opts),
-      active_(opts.workers),
+    : active_(opts.workers),
       running_(opts.workers),
-      target_running_(opts.workers),
       next_ckpt_at_(opts.checkpoint_every) {
   for (ObjectId oid : objects) ready_.push_back(Item{oid, 0});
 }
@@ -20,15 +17,15 @@ MigrationPipe::Next MigrationPipe::Pop(Item* out) {
   for (;;) {
     if (stopped_) return Next::kStopped;
     if (ckpt_requested_) return Next::kBarrier;
-    // Adaptive shedding: surplus workers park here, holding no locks or
-    // claims. They wake for checkpoints and stop (they must rendezvous /
-    // exit like everyone else), when the controller raises the target,
-    // or when the pipe runs dry (so they drain out normally).
-    if (running_ > EffectiveTargetLocked() && !AllWorkDoneLocked()) {
+    // Workers above the cap park here, holding no locks or claims. They
+    // wake for checkpoints and stop (they must rendezvous / exit like
+    // everyone else), when the cap rises, or when the pipe runs dry (so
+    // they drain out normally).
+    if (running_ > external_cap_ && !AllWorkDoneLocked()) {
       --running_;
       cv_.wait(l, [&] {
-        return stopped_ || ckpt_requested_ ||
-               running_ < EffectiveTargetLocked() || AllWorkDoneLocked();
+        return stopped_ || ckpt_requested_ || running_ < external_cap_ ||
+               AllWorkDoneLocked();
       });
       ++running_;
       continue;
@@ -133,46 +130,10 @@ void MigrationPipe::OnClaimReleased(ObjectId blocker) {
   cv_.notify_all();
 }
 
-void MigrationPipe::NoteMigrated() {
-  if (!opts_.adaptive) return;
-  std::lock_guard<std::mutex> l(mu_);
-  ++win_migrated_;
-  AdaptLocked();
-}
-
-void MigrationPipe::NoteDeferral() {
-  if (!opts_.adaptive) return;
-  std::lock_guard<std::mutex> l(mu_);
-  ++win_deferred_;
-  AdaptLocked();
-}
-
-void MigrationPipe::AdaptLocked() {
-  if (win_migrated_ + win_deferred_ < opts_.adapt_window) return;
-  const double ratio =
-      win_migrated_ == 0
-          ? std::numeric_limits<double>::infinity()
-          : static_cast<double>(win_deferred_) /
-                static_cast<double>(win_migrated_);
-  const uint32_t floor = std::max(opts_.min_workers, 1u);
-  if (ratio >= opts_.shed_ratio && target_running_ > floor) {
-    // Deferrals dominate: the remaining clusters are too entangled for
-    // this many workers — every extra worker just generates conflicts.
-    --target_running_;
-    ++workers_shed_;
-  } else if (ratio <= opts_.add_ratio && target_running_ < opts_.workers) {
-    ++target_running_;
-    ++workers_added_;
-    cv_.notify_all();  // a parked worker resumes
-  }
-  win_migrated_ = 0;
-  win_deferred_ = 0;
-}
-
 void MigrationPipe::SetWorkerCap(uint32_t cap) {
   std::lock_guard<std::mutex> l(mu_);
   external_cap_ = cap;
-  cv_.notify_all();  // parked workers re-check the effective target
+  cv_.notify_all();  // parked workers re-check the cap
 }
 
 uint32_t MigrationPipe::worker_cap() {
@@ -249,21 +210,6 @@ void MigrationPipe::WorkerExit() {
 uint64_t MigrationPipe::claim_wakeups() {
   std::lock_guard<std::mutex> l(mu_);
   return claim_wakeups_;
-}
-
-uint64_t MigrationPipe::workers_shed() {
-  std::lock_guard<std::mutex> l(mu_);
-  return workers_shed_;
-}
-
-uint64_t MigrationPipe::workers_added() {
-  std::lock_guard<std::mutex> l(mu_);
-  return workers_added_;
-}
-
-uint32_t MigrationPipe::target_running() {
-  std::lock_guard<std::mutex> l(mu_);
-  return target_running_;
 }
 
 size_t MigrationPipe::parked_on_claims() {

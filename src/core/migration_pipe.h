@@ -9,41 +9,30 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/params.h"
 #include "common/status.h"
 #include "storage/object_id.h"
 
 namespace brahma {
 
-// Work queue plus checkpoint barrier shared by the N migrator workers of
-// the parallel pipeline. Objects enter in planner order; a worker that
+// Work queue plus checkpoint barrier shared by the migrator workers of
+// an IRA run (one or more). Objects enter in planner order; a worker that
 // loses a lock race requeues its object with a backoff deadline instead
-// of blocking, so siblings steal the ready work in the meantime.
+// of blocking, so the ready work behind it migrates in the meantime.
 //
 // Claim-aware scheduling: a migration deferred because its footprint
 // overlapped a sibling's in-flight claim parks under the blocking anchor
 // (ParkOnClaim) and is moved back to the ready queue the instant that
 // claim drops (OnClaimReleased) — no retry timer, no spurious wakeups.
-// Items whose blocker cannot be named (or when claim wakeup is disabled)
-// still use the timed Requeue path.
 //
-// Adaptive worker control: when enabled, the pipe tracks a sliding
-// window of migration outcomes (NoteMigrated / NoteDeferral). A window
-// dominated by footprint deferrals means the remaining clusters are too
-// entangled for the current worker count — one worker parks in Pop;
-// when deferrals fade, parked workers resume. Parked workers hold no
-// locks or claims and still participate in checkpoint barriers and
-// drain/stop detection.
+// Worker cap: an external controller (ReorgThrottle) may cap how many
+// workers run; surplus workers park in Pop. Parked workers hold no locks
+// or claims and still participate in checkpoint barriers and drain/stop
+// detection.
 class MigrationPipe {
  public:
   struct Options {
     uint32_t workers = 1;
     uint32_t checkpoint_every = 0;  // 0 = no checkpoint cadence
-    bool adaptive = false;
-    uint32_t min_workers = kAdaptiveMinWorkers;
-    uint32_t adapt_window = kAdaptiveWindowEvents;
-    double shed_ratio = kAdaptiveShedRatio;
-    double add_ratio = kAdaptiveAddRatio;
   };
 
   struct Item {
@@ -57,7 +46,7 @@ class MigrationPipe {
 
   // Blocks until an item is ready (kItem), a checkpoint rendezvous is
   // requested (kBarrier), the pipe ran dry (kDrained), or Stop was called
-  // (kStopped). Surplus workers (adaptive mode) park inside this call.
+  // (kStopped). Workers above the worker cap park inside this call.
   Next Pop(Item* out);
 
   // The popped item migrated (or was skipped): it leaves the pipe.
@@ -88,16 +77,10 @@ class MigrationPipe {
   // it to the ready queue and wake the workers.
   void OnClaimReleased(ObjectId blocker);
 
-  // Adaptive-controller signals (no-ops unless Options::adaptive).
-  void NoteMigrated();
-  void NoteDeferral();
-
   // External worker cap (ReorgThrottle, DESIGN.md §14): at most `cap`
-  // workers run regardless of the adaptive controller's own target;
-  // surplus workers park in Pop exactly like adaptively-shed ones —
-  // holding no locks or claims, still honoring checkpoint barriers and
-  // stop. A cap of 0 pauses the pipeline until the cap rises. Orthogonal
-  // to Options::adaptive: the effective target is the minimum of both.
+  // workers run; surplus workers park in Pop, holding no locks or
+  // claims, still honoring checkpoint barriers and stop. A cap of 0
+  // pauses the pipeline until the cap rises.
   void SetWorkerCap(uint32_t cap);
   uint32_t worker_cap();
 
@@ -124,9 +107,6 @@ class MigrationPipe {
 
   // Introspection (tests, post-run stats aggregation).
   uint64_t claim_wakeups();
-  uint64_t workers_shed();
-  uint64_t workers_added();
-  uint32_t target_running();
   size_t parked_on_claims();
 
  private:
@@ -143,17 +123,6 @@ class MigrationPipe {
            in_flight_ == 0;
   }
 
-  // Re-evaluates the shed/add decision once a window's worth of outcomes
-  // has accumulated. Caller holds mu_.
-  void AdaptLocked();
-
-  // Worker count the pipe actually aims for: the adaptive controller's
-  // target clamped by the external throttle cap. Caller holds mu_.
-  uint32_t EffectiveTargetLocked() const {
-    return target_running_ < external_cap_ ? target_running_ : external_cap_;
-  }
-
-  const Options opts_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Item> ready_;
@@ -163,9 +132,8 @@ class MigrationPipe {
   std::unordered_map<ObjectId, std::vector<Item>> claim_waiters_;
   size_t claim_parked_ = 0;
   uint32_t in_flight_ = 0;
-  uint32_t active_;          // workers that have not exited
-  uint32_t running_;         // workers not parked by the adaptive controller
-  uint32_t target_running_;  // adaptive controller's current worker target
+  uint32_t active_;   // workers that have not exited
+  uint32_t running_;  // workers not parked by the worker cap
   // External throttle cap (SetWorkerCap); UINT32_MAX = uncapped.
   uint32_t external_cap_ = 0xFFFFFFFFu;
   uint32_t paused_ = 0;
@@ -174,12 +142,7 @@ class MigrationPipe {
   bool stopped_ = false;
   Status result_ = Status::Ok();
   uint64_t next_ckpt_at_;
-  // Adaptive window accumulators and decision counters.
-  uint64_t win_migrated_ = 0;
-  uint64_t win_deferred_ = 0;
   uint64_t claim_wakeups_ = 0;
-  uint64_t workers_shed_ = 0;
-  uint64_t workers_added_ = 0;
 };
 
 }  // namespace brahma

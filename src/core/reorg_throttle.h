@@ -18,8 +18,7 @@ struct ReorgThrottleOptions {
   // The SLO: sliding-window p99 of user request latency must stay at or
   // below this. Above it the throttle sheds one migration worker per
   // control decision; at or below slo_p99_ms * resume_fraction it adds
-  // one back (the gap is hysteresis, like the pipe's own adaptive
-  // controller).
+  // one back (the gap is hysteresis).
   double slo_p99_ms = 50.0;
   double resume_fraction = 0.8;
   // Control setpoint as a fraction of the SLO. A governor that sheds
@@ -61,10 +60,9 @@ struct ReorgThrottleOptions {
 // operation's latency; the reorganizer attaches its MigrationPipe for
 // the duration of a run (IraOptions::throttle). Every eval_every
 // samples the throttle compares the window p99 against the SLO and
-// steps the pipe's external worker cap down or up one worker at a time
-// — the same park/resume mechanism the pipe's own adaptive controller
-// uses (MigrationPipe::SetWorkerCap), so a capped worker holds no locks
-// or claims and still participates in checkpoint barriers.
+// steps the pipe's worker cap (MigrationPipe::SetWorkerCap) down or up
+// one worker at a time; a capped worker parks holding no locks or claims
+// and still participates in checkpoint barriers.
 //
 // Thread-safe: Record arrives from N server workers concurrently while
 // the reorganizer attaches/detaches from its own thread.
@@ -75,7 +73,7 @@ class ReorgThrottle {
   // One completed user operation took latency_ms (queue wait included).
   void Record(double latency_ms);
 
-  // Reorganization lifecycle (called by IraReorganizer::MigrateParallel
+  // Reorganization lifecycle (called by IraReorganizer::RunPipe
   // when IraOptions::throttle is set). Attach resets the cap to
   // max_workers (or initial_workers when set) — by default each run
   // starts optimistic and sheds on evidence.

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -82,8 +85,10 @@ void CheckConsistent(Database* db, IraReorganizer* ira,
 }
 
 // Flavor A: abort unconditionally (every hit from start_hit on) at one
-// site; the sequential loop halts cleanly. Verify consistency right
-// away, then Resume from the forced checkpoint (or rerun) to completion.
+// site with one worker. Each aborted migration is requeued until one
+// object exhausts its retry cap, and the run stops cleanly. Verify
+// consistency right away, then Resume from the forced checkpoint (or
+// rerun) to completion.
 void RunAbortHaltSchedule(bool two_lock, const std::string& site) {
   SCOPED_TRACE((two_lock ? "twolock @ " : "basic @ ") + site);
   FailPoints::Instance().Reset();
@@ -113,6 +118,7 @@ void RunAbortHaltSchedule(bool two_lock, const std::string& site) {
   IraOptions opt;
   opt.two_lock_mode = two_lock;
   opt.group_size = 5;  // open groups hold completed migrations to roll back
+  opt.max_retries_per_object = 4;
   opt.lock_timeout = std::chrono::milliseconds(100);
   opt.backoff_initial = std::chrono::milliseconds(1);
   opt.checkpoint_sink = &ckpt;
@@ -122,7 +128,7 @@ void RunAbortHaltSchedule(bool two_lock, const std::string& site) {
   IraReorganizer ira(db.reorg_context());
   Status s = ira.Run(1, &planner, opt, &stats);
   mutators.StopAndJoin();
-  ASSERT_TRUE(s.IsAborted()) << s.ToString();
+  ASSERT_TRUE(s.IsRetryExhausted()) << s.ToString();
   EXPECT_GT(stats.faults_injected, 0u);
   EXPECT_GE(stats.aborts_rolled_back, 1u);
   FailPoints::Instance().Reset();
@@ -309,6 +315,61 @@ TEST(AbortScheduleTest, RetryCapTerminatesUnlimitedAbortsBasic) {
 
 TEST(AbortScheduleTest, RetryCapTerminatesUnlimitedAbortsTwoLock) {
   RunAbortExhaustionSchedule(/*two_lock=*/true, "ira:twolock:after-create");
+}
+
+// Late two-lock sites: every parent already references O_new (committed)
+// and FinishMigration's side-table edits are pending in the anchor when
+// the abort lands, so the rollback must reverse all of it.
+TEST(AbortScheduleTest, RetryCapTerminatesUnlimitedAbortsTwoLockBeforeCommit) {
+  RunAbortExhaustionSchedule(/*two_lock=*/true, "ira:twolock:before-commit");
+}
+
+TEST(AbortScheduleTest, RetryCapTerminatesUnlimitedAbortsTwoLockBeforeFree) {
+  RunAbortExhaustionSchedule(/*two_lock=*/true, "ira:finish:before-free");
+}
+
+// Every reorg commit aborts, and the whole partition fits in one open
+// group, so the only commit is the one at drain time. Each rollback must
+// charge every migration it undoes: had the undone members re-entered the
+// pipe at zero attempts, the run would migrate, drain, abort and start
+// over forever. A watchdog disarms the schedule after a deadline, so a
+// regression fails here instead of hanging.
+TEST(AbortScheduleTest, RetryCapTerminatesWhenEveryGroupCommitAborts) {
+  FailPoints::Instance().Reset();
+  Database db(testing::SmallDbOptions(5));
+  WorkloadParams params = testing::SmallWorkload(2);
+  params.objects_per_partition = 85 * 2;
+  BuiltGraph graph;
+  GraphBuilder builder(&db);
+  ASSERT_TRUE(builder.Build(params, &graph).ok());
+  const uint64_t total_live = TotalLiveObjects(&db.store());
+  const size_t reachable_before = CollectReachable(&db.store()).size();
+
+  const std::string site = "txn:reorg-commit:begin";
+  ASSERT_TRUE(FailPoints::Instance().ArmFromString(site + "=aborted").ok());
+  IraOptions opt;
+  opt.group_size = 1000;  // more than the partition holds
+  opt.max_retries_per_object = 4;
+  CopyOutPlanner planner(5);
+  ReorgStats stats;
+  IraReorganizer ira(db.reorg_context());
+  std::atomic<bool> done{false};
+  std::thread watchdog([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    FailPoints::Instance().Disarm(site);
+  });
+  Status s = ira.Run(1, &planner, opt, &stats);
+  done.store(true);
+  watchdog.join();
+  FailPoints::Instance().Reset();
+
+  EXPECT_TRUE(s.IsRetryExhausted()) << s.ToString();
+  EXPECT_GE(stats.aborts_rolled_back, 1u);
+  CheckConsistent(&db, &ira, total_live, reachable_before);
 }
 
 // PQR migrates the whole partition under one transaction: a single

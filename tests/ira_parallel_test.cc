@@ -20,11 +20,11 @@ using ::brahma::testing::CountLiveObjects;
 using ::brahma::testing::SlotSwapMutators;
 using ::brahma::testing::TotalLiveObjects;
 
-// The parallel migration pipeline must produce exactly the state the
-// sequential loop produces: every live object of the partition migrated,
-// no dangling references, ERTs matching the physical graph, no leaked
-// locks — under quiescence, under edge-preserving mutators, under a full
-// workload driver, and under injected lock timeouts.
+// A multi-worker run must produce exactly the state a one-worker run
+// produces: every live object of the partition migrated, no dangling
+// references, ERTs matching the physical graph, no leaked locks — under
+// quiescence, under edge-preserving mutators, under a full workload
+// driver, and under injected lock timeouts.
 
 void CheckFullyMigrated(Database* db, uint64_t live_before,
                         const ReorgStats& stats) {
@@ -44,8 +44,6 @@ struct ParallelConfig {
   uint32_t workers;
   uint32_t group_size;
   const char* name;
-  bool claim_wakeup = true;
-  bool adaptive = false;
 };
 
 class IraParallelTest : public ::testing::TestWithParam<ParallelConfig> {};
@@ -67,8 +65,6 @@ TEST_P(IraParallelTest, QuiescentMigratesEverything) {
   opt.two_lock_mode = cfg.two_lock;
   opt.num_workers = cfg.workers;
   opt.group_size = cfg.group_size;
-  opt.claim_wakeup = cfg.claim_wakeup;
-  opt.adaptive_workers = cfg.adaptive;
   opt.lock_timeout = std::chrono::milliseconds(100);
   opt.checkpoint_sink = &ckpt;  // exercise the barrier path
   opt.checkpoint_every = 16;
@@ -81,16 +77,8 @@ TEST_P(IraParallelTest, QuiescentMigratesEverything) {
   CheckFullyMigrated(&db, live_before, stats);
   EXPECT_EQ(CollectReachable(&db.store()).size(), reachable_before);
   EXPECT_TRUE(ckpt.valid);  // at least one barrier checkpoint was cut
-  // Every claim wakeup corresponds to a parked deferral; with wakeups
-  // disabled the deferred items take the timed-requeue path instead.
+  // Every claim wakeup corresponds to a parked deferral.
   EXPECT_LE(stats.claim_wakeups, stats.claim_deferrals);
-  if (!cfg.claim_wakeup) {
-    EXPECT_EQ(stats.claim_wakeups, 0u);
-  }
-  if (!cfg.adaptive) {
-    EXPECT_EQ(stats.workers_shed, 0u);
-    EXPECT_EQ(stats.workers_added, 0u);
-  }
 }
 
 // Edge-preserving mutators on a sibling partition race the pipeline the
@@ -113,8 +101,6 @@ TEST_P(IraParallelTest, SlotSwapMutatorsKeepInvariants) {
   opt.two_lock_mode = cfg.two_lock;
   opt.num_workers = cfg.workers;
   opt.group_size = cfg.group_size;
-  opt.claim_wakeup = cfg.claim_wakeup;
-  opt.adaptive_workers = cfg.adaptive;
   opt.lock_timeout = std::chrono::milliseconds(100);
   CopyOutPlanner planner(5);
   ReorgStats stats;
@@ -136,12 +122,7 @@ INSTANTIATE_TEST_SUITE_P(
         ParallelConfig{false, 4, 1, "Basic4"},
         ParallelConfig{false, 4, 8, "Basic4Grouped"},
         ParallelConfig{true, 2, 1, "TwoLock2"},
-        ParallelConfig{true, 3, 1, "TwoLock3"},
-        // PR 2 scheduling (timed requeue only, static workers).
-        ParallelConfig{false, 4, 1, "Basic4TimedRequeue", false, false},
-        // Full adaptive stack, both lock modes.
-        ParallelConfig{false, 4, 8, "Basic4Adaptive", true, true},
-        ParallelConfig{true, 3, 1, "TwoLock3Adaptive", true, true}),
+        ParallelConfig{true, 3, 1, "TwoLock3"}),
     [](const ::testing::TestParamInfo<ParallelConfig>& info) {
       return info.param.name;
     });

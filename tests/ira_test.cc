@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+#include <thread>
+#include <unordered_map>
+
 #include "core/database.h"
 #include "tests/test_util.h"
 #include "workload/graph_builder.h"
@@ -272,6 +277,109 @@ TEST(IraSpecialTest, CrossPartitionCycleHandled) {
   EXPECT_EQ(db.store().Get(b)->refs()[0], anew);
   EXPECT_EQ(db.store().Get(anew)->refs()[0], b);
   EXPECT_EQ(testing::CountErtDiscrepancies(&db.store(), &db.erts()), 0);
+}
+
+// Copy-out planner that, once the migration order is fixed, starts a user
+// transaction holding an X lock on the first object's parent. The user
+// releases it only after every other object has migrated, or after a
+// deadline, recording how many migrations completed while it held on.
+class BlockFirstParentPlanner : public CopyOutPlanner {
+ public:
+  BlockFirstParentPlanner(Database* db, PartitionId dest,
+                          std::unordered_map<ObjectId, ObjectId> parent_of,
+                          const ReorgStats* stats)
+      : CopyOutPlanner(dest),
+        db_(db),
+        parent_of_(std::move(parent_of)),
+        stats_(stats) {}
+  ~BlockFirstParentPlanner() override {
+    if (user_.joinable()) user_.join();
+  }
+  BlockFirstParentPlanner(const BlockFirstParentPlanner&) = delete;
+  BlockFirstParentPlanner& operator=(const BlockFirstParentPlanner&) = delete;
+
+  void Order(std::vector<ObjectId>* objects) override {
+    RelocationPlanner::Order(objects);
+    first = objects->front();
+    const ObjectId parent = parent_of_.at(first);
+    const uint64_t others = objects->size() - 1;
+    std::promise<void> locked;
+    std::future<void> locked_f = locked.get_future();
+    user_ = std::thread([this, parent, others,
+                         locked = std::move(locked)]() mutable {
+      auto txn = db_->Begin();
+      lock_ok = txn->Lock(parent, LockMode::kExclusive).ok();
+      locked.set_value();
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(3);
+      while (stats_->objects_migrated.load() < others &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      migrated_while_held = stats_->objects_migrated.load();
+      first_live_at_release = db_->store().Validate(first);
+      txn->Commit();
+    });
+    locked_f.wait();
+  }
+
+  void JoinUser() { user_.join(); }
+
+  ObjectId first;
+  bool lock_ok = false;
+  uint64_t migrated_while_held = 0;
+  bool first_live_at_release = false;
+
+ private:
+  Database* db_;
+  std::unordered_map<ObjectId, ObjectId> parent_of_;
+  const ReorgStats* stats_;
+  std::thread user_;
+};
+
+// One worker, basic mode: the first object in migration order cannot
+// lock its parent (a user transaction holds it X). Instead of retrying
+// in place, the object backs off while the rest of the partition
+// migrates; it then finishes once the user releases the lock.
+TEST(IraSpecialTest, OneWorkerMigratesPastBlockedObject) {
+  constexpr int kChildren = 8;
+  Database db(testing::SmallDbOptions(3));
+  std::unordered_map<ObjectId, ObjectId> parent_of;
+  {
+    auto txn = db.Begin();
+    for (int i = 0; i < kChildren; ++i) {
+      ObjectId parent, child;
+      ASSERT_TRUE(txn->CreateObject(2, 1, 8, &parent).ok());
+      ASSERT_TRUE(txn->CreateObject(1, 0, 8, &child).ok());
+      ASSERT_TRUE(txn->SetRef(parent, 0, child).ok());
+      parent_of[child] = parent;
+    }
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  db.analyzer().Sync();
+
+  ReorgStats stats;
+  BlockFirstParentPlanner planner(&db, 3, parent_of, &stats);
+  IraOptions opt;
+  opt.num_workers = 1;
+  opt.lock_timeout = std::chrono::milliseconds(20);
+  IraReorganizer ira(db.reorg_context());
+  Status s = ira.Run(1, &planner, opt, &stats);
+  planner.JoinUser();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+
+  ASSERT_TRUE(planner.lock_ok);
+  // Everything but the blocked object migrated while the lock was held.
+  EXPECT_EQ(planner.migrated_while_held, kChildren - 1u);
+  EXPECT_TRUE(planner.first_live_at_release);
+  EXPECT_GE(stats.lock_timeouts, 1u);
+  // After the release the blocked object migrated too.
+  EXPECT_EQ(stats.objects_migrated, static_cast<uint64_t>(kChildren));
+  EXPECT_EQ(stats.relocation.count(planner.first), 1u);
+  EXPECT_EQ(testing::CountLiveObjects(&db.store(), 1), 0u);
+  EXPECT_EQ(testing::CountDanglingRefs(&db.store()), 0);
+  EXPECT_EQ(testing::CountErtDiscrepancies(&db.store(), &db.erts()), 0);
+  EXPECT_EQ(db.locks().NumLockedObjects(), 0u);
 }
 
 }  // namespace

@@ -132,71 +132,14 @@ TEST(MigrationPipeTest, StrandedClaimWaitersArePromotedNotDeadlocked) {
   EXPECT_EQ(pipe.Pop(&end), Next::kDrained);
 }
 
-// Adaptive controller arithmetic: a deferral-dominated window sheds one
-// worker per window down to the floor; a migration-dominated window adds
-// one back up to the configured count.
-TEST(MigrationPipeTest, AdaptiveControllerShedsAndAddsByWindowRatio) {
-  MigrationPipe::Options opt;
-  opt.workers = 4;
-  opt.adaptive = true;
-  opt.min_workers = 1;
-  opt.adapt_window = 4;
-  opt.shed_ratio = 1.0;
-  opt.add_ratio = 0.25;
-  std::vector<ObjectId> objs = {Oid(10)};
-  MigrationPipe pipe(objs, opt);
-  ASSERT_EQ(pipe.target_running(), 4u);
-
-  auto window_of_deferrals = [&] {
-    for (uint32_t i = 0; i < opt.adapt_window; ++i) pipe.NoteDeferral();
-  };
-  auto window_of_migrations = [&] {
-    for (uint32_t i = 0; i < opt.adapt_window; ++i) pipe.NoteMigrated();
-  };
-
-  window_of_deferrals();
-  EXPECT_EQ(pipe.target_running(), 3u);
-  window_of_deferrals();
-  EXPECT_EQ(pipe.target_running(), 2u);
-  window_of_deferrals();
-  EXPECT_EQ(pipe.target_running(), 1u);
-  // At the floor: further thrash-dominated windows change nothing.
-  window_of_deferrals();
-  EXPECT_EQ(pipe.target_running(), 1u);
-  EXPECT_EQ(pipe.workers_shed(), 3u);
-
-  window_of_migrations();
-  EXPECT_EQ(pipe.target_running(), 2u);
-  window_of_migrations();
-  EXPECT_EQ(pipe.target_running(), 3u);
-  EXPECT_EQ(pipe.workers_added(), 2u);
-
-  // A mixed window below the shed ratio and above the add ratio holds
-  // the worker count steady.
-  pipe.NoteDeferral();
-  for (uint32_t i = 1; i < opt.adapt_window; ++i) pipe.NoteMigrated();
-  EXPECT_EQ(pipe.target_running(), 3u);
-  EXPECT_EQ(pipe.workers_shed(), 3u);
-  EXPECT_EQ(pipe.workers_added(), 2u);
-}
-
-// A shed worker parks (stops popping even with work available) and
-// resumes when the controller raises the target again.
+// A worker above the cap parks (stops popping even with work available)
+// and resumes when the cap rises again.
 TEST(MigrationPipeTest, ShedWorkerParksAndResumesOnTargetRaise) {
   MigrationPipe::Options opt;
   opt.workers = 2;
-  opt.adaptive = true;
-  opt.min_workers = 1;
-  opt.adapt_window = 2;
-  opt.shed_ratio = 1.0;
-  opt.add_ratio = 0.25;
   std::vector<ObjectId> objs = {Oid(10), Oid(20)};
   MigrationPipe pipe(objs, opt);
-
-  // Thrash window: target drops 2 -> 1 before any worker pops.
-  pipe.NoteDeferral();
-  pipe.NoteDeferral();
-  ASSERT_EQ(pipe.target_running(), 1u);
+  pipe.SetWorkerCap(1);
 
   // The "second worker" must park inside Pop despite ready work.
   std::atomic<bool> popped{false};
@@ -207,15 +150,12 @@ TEST(MigrationPipeTest, ShedWorkerParksAndResumesOnTargetRaise) {
     popped.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(popped.load()) << "worker popped while over target";
+  EXPECT_FALSE(popped.load()) << "worker popped while over the cap";
 
-  // Productive window raises the target; the parked worker resumes.
-  pipe.NoteMigrated();
-  pipe.NoteMigrated();
-  ASSERT_EQ(pipe.target_running(), 2u);
+  // Raising the cap resumes the parked worker.
+  pipe.SetWorkerCap(2);
   w2.join();
   EXPECT_TRUE(popped.load());
-  EXPECT_EQ(pipe.workers_added(), 1u);
 
   // Drain: the main thread takes the remaining item.
   MigrationPipe::Item mine;
@@ -230,13 +170,9 @@ TEST(MigrationPipeTest, ShedWorkerParksAndResumesOnTargetRaise) {
 TEST(MigrationPipeTest, StopWakesParkedWorker) {
   MigrationPipe::Options opt;
   opt.workers = 2;
-  opt.adaptive = true;
-  opt.adapt_window = 2;
   std::vector<ObjectId> objs = {Oid(10), Oid(20)};
   MigrationPipe pipe(objs, opt);
-  pipe.NoteDeferral();
-  pipe.NoteDeferral();
-  ASSERT_EQ(pipe.target_running(), 1u);
+  pipe.SetWorkerCap(1);
 
   std::atomic<bool> stopped_seen{false};
   std::thread w2([&] {
