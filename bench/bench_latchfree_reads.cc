@@ -8,7 +8,7 @@
 // epoch, chase the relocation table past in-flight migrations, and
 // snapshot under the per-object latch only. Read-only commits pay no log
 // force, so the rows measure the read path itself: both modes hold flat
-// from 1 through 8 workers and the latch-free path is ~1.5x faster
+// from 1 through 8 workers and the latch-free path is ~2x faster
 // (EXPERIMENTS.md).
 //
 // Emits BENCH_latchfree_reads.json in the working directory.

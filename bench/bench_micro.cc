@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the substrate primitives: the
 // extendible hash index backing the ERT/TRT, object latches, lock
-// manager acquire/release, partition allocation, WAL append, the
-// group-commit force under a closed loop of committers, and the fuzzy
-// traversal over a paper-scale partition.
+// manager acquire/release, a locked read-only transaction, partition
+// allocation, WAL append, the group-commit force under a closed loop of
+// committers, and the fuzzy traversal over a paper-scale partition.
 
 #include <benchmark/benchmark.h>
 
@@ -65,6 +65,51 @@ void BM_LockManagerAcquireRelease(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LockManagerAcquireRelease)->ThreadRange(1, 8);
+
+// A locked read walk called straight against the library: Begin, 9 x
+// (S lock + ReadRefs), Commit, each thread on its own 9 objects. The
+// threads share no object, only the transaction manager, the lock table
+// and the epoch manager, so items/s across thread counts shows how well
+// the user transaction path scales (DESIGN.md §10).
+void BM_TxnReadWalk(benchmark::State& state) {
+  constexpr int kSteps = 9;
+  constexpr int kMaxThreads = 4;
+  struct Fixture {
+    static DatabaseOptions Options() {
+      DatabaseOptions opt;
+      opt.num_data_partitions = 1;
+      opt.partition_capacity = 1 << 20;
+      return opt;
+    }
+    Database db{Options()};
+    std::vector<ObjectId> objects;
+    Fixture() {
+      auto setup = db.Begin();
+      objects.resize(kSteps * kMaxThreads);
+      for (ObjectId& oid : objects) setup->CreateObject(1, 2, 64, &oid);
+      setup->Commit();
+    }
+  };
+  static Fixture* fx = new Fixture();
+  const ObjectId* mine = &fx->objects[kSteps * state.thread_index()];
+  std::vector<ObjectId> refs;
+  bool ok = true;
+  for (auto _ : state) {
+    auto txn = fx->db.Begin();
+    for (int i = 0; i < kSteps && ok; ++i) {
+      ok = txn->Lock(mine[i], LockMode::kShared).ok() &&
+           txn->ReadRefs(mine[i], &refs).ok();
+      benchmark::DoNotOptimize(refs.data());
+      benchmark::ClobberMemory();
+    }
+    if (!ok || !txn->Commit().ok()) {
+      state.SkipWithError("locked read walk failed");
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TxnReadWalk)->ThreadRange(1, 4)->UseRealTime();
 
 void BM_PartitionAllocateFree(benchmark::State& state) {
   Partition part(1, 64 << 20);

@@ -46,17 +46,7 @@ inline constexpr std::chrono::microseconds kCommitForceLatency{800};
 //   aborting many non-deadlocked transactions.
 enum class DeadlockPolicy : uint8_t { kTimeoutOnly, kDetect, kWaitDie };
 
-// Whom to sacrifice when a cycle is found:
-// * kReorgFirst — reorganization transactions (IRA migrations, PQR
-//   partition txns, GC sweeps) are always preferred over user
-//   transactions, honoring the paper's rule that reorganization must not
-//   degrade user service; ties break toward fewest SideEffectLog entries,
-//   then fewest locks held, then youngest.
-// * kYoungest   — classic youngest-transaction victim (ablation).
-enum class VictimPolicy : uint8_t { kReorgFirst, kYoungest };
-
 inline constexpr DeadlockPolicy kDefaultDeadlockPolicy = DeadlockPolicy::kDetect;
-inline constexpr VictimPolicy kDefaultVictimPolicy = VictimPolicy::kReorgFirst;
 
 // Epoch-based reclamation for the latch-free read path (DESIGN.md §11).
 //

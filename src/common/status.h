@@ -95,6 +95,7 @@ class Status {
   bool IsDegraded() const { return code_ == Code::kDegraded; }
   bool IsCrashed() const { return code_ == Code::kCrashed; }
   bool IsDeadlockVictim() const { return code_ == Code::kDeadlockVictim; }
+  bool IsInternal() const { return code_ == Code::kInternal; }
 
   Code code() const { return code_; }
   const std::string& message() const { return msg_; }

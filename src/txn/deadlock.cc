@@ -49,15 +49,13 @@ std::vector<TxnId> FindCycleFrom(const WaitsForGraph& graph, TxnId start,
 }
 
 TxnId SelectVictim(const std::vector<TxnId>& cycle,
-                   const std::unordered_map<TxnId, WaiterProfile>& profiles,
-                   VictimPolicy policy) {
+                   const std::unordered_map<TxnId, WaiterProfile>& profiles) {
   auto profile_of = [&profiles](TxnId t) {
     auto it = profiles.find(t);
     return it != profiles.end() ? it->second : WaiterProfile{};
   };
-  auto cheaper = [policy](TxnId a, const WaiterProfile& pa, TxnId b,
-                          const WaiterProfile& pb) {
-    if (policy == VictimPolicy::kYoungest) return a > b;
+  auto cheaper = [](TxnId a, const WaiterProfile& pa, TxnId b,
+                    const WaiterProfile& pb) {
     if (pa.reorg != pb.reorg) return pa.reorg;
     if (pa.side_effects != pb.side_effects) {
       return pa.side_effects < pb.side_effects;

@@ -14,11 +14,11 @@ namespace brahma {
 // the request itself so victim selection never touches live Transaction
 // objects (no lifetime coupling between the detector and the txn layer).
 //
-// Victim-selection cost model (VictimPolicy::kReorgFirst): reorg
-// transactions are always cheaper than user transactions — the paper's
-// invariant is that reorganization must not degrade user service, and
-// PR 3 made aborting a reorg txn fully compensated — then fewest
-// side-effect-log entries (undo cost), then fewest locks held
+// Victim-selection cost model: reorg transactions (IRA migrations, PQR
+// partition txns, GC sweeps) are always cheaper than user transactions —
+// the paper's invariant is that reorganization must not degrade user
+// service, and aborting a reorg txn is fully compensated (DESIGN.md §8) —
+// then fewest side-effect-log entries (undo cost), then fewest locks held
 // (re-acquisition cost), then youngest.
 struct WaiterProfile {
   bool reorg = false;         // IRA migration / PQR partition txn / GC sweep
@@ -41,12 +41,11 @@ using WaitsForGraph = std::unordered_map<TxnId, std::vector<TxnId>>;
 std::vector<TxnId> FindCycleFrom(const WaitsForGraph& graph, TxnId start,
                                  uint32_t max_depth);
 
-// Picks the cheapest member of `cycle` per `policy`. Members missing from
-// `profiles` are treated as default-constructed (user txn). Returns
-// kInvalidTxn when every member is no_victim.
+// Picks the cheapest member of `cycle` under the cost model above.
+// Members missing from `profiles` are treated as default-constructed (user
+// txn). Returns kInvalidTxn when every member is no_victim.
 TxnId SelectVictim(const std::vector<TxnId>& cycle,
-                   const std::unordered_map<TxnId, WaiterProfile>& profiles,
-                   VictimPolicy policy);
+                   const std::unordered_map<TxnId, WaiterProfile>& profiles);
 
 }  // namespace deadlock
 }  // namespace brahma

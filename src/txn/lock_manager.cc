@@ -44,6 +44,28 @@ LockManager::Request* LockManager::FindRequest(LockEntry* entry, TxnId txn) {
   return nullptr;
 }
 
+LockManager::LockEntry* LockManager::EntryFor(Shard& shard, ObjectId oid) {
+  auto it = shard.entries.find(oid);
+  if (it != shard.entries.end()) return it->second.get();
+  if (shard.spare.empty()) {
+    return shard.entries.emplace(oid, std::make_unique<LockEntry>())
+        .first->second.get();
+  }
+  EntryMap::node_type node = std::move(shard.spare.back());
+  shard.spare.pop_back();
+  node.key() = oid;
+  return shard.entries.insert(std::move(node)).position->second.get();
+}
+
+void LockManager::PruneIfEmpty(Shard& shard, EntryMap::iterator it) {
+  if (!it->second->queue.empty()) return;
+  if (shard.spare.size() < kSpareEntries) {
+    shard.spare.push_back(shard.entries.extract(it));
+  } else {
+    shard.entries.erase(it);
+  }
+}
+
 void LockManager::WithdrawRequest(Shard& shard, LockEntry* entry, ObjectId oid,
                                   TxnId txn) {
   for (auto it = entry->queue.begin(); it != entry->queue.end(); ++it) {
@@ -60,7 +82,7 @@ void LockManager::WithdrawRequest(Shard& shard, LockEntry* entry, ObjectId oid,
     break;
   }
   if (TryGrant(entry)) entry->cv.notify_all();
-  if (entry->queue.empty()) shard.entries.erase(oid);
+  if (entry->queue.empty()) PruneIfEmpty(shard, shard.entries.find(oid));
 }
 
 void LockManager::RegisterWaiter(TxnId txn, ObjectId oid,
@@ -137,7 +159,7 @@ void LockManager::RunDetection(TxnId self) {
     auto it = waiting.find(t);
     if (it != waiting.end()) profiles[t] = it->second.profile;
   }
-  TxnId victim = deadlock::SelectVictim(cycle, profiles, victim_policy());
+  TxnId victim = deadlock::SelectVictim(cycle, profiles);
   BRAHMA_FAILPOINT_HIT("deadlock:select");
   if (victim == kInvalidTxn) return;  // every member exempt; timeout backstop
 
@@ -176,11 +198,11 @@ Status LockManager::Acquire(TxnId txn, ObjectId oid, LockMode mode,
   BRAHMA_FAILPOINT("lock:acquire");
   Shard& shard = ShardFor(oid);
   std::unique_lock<std::mutex> l(shard.mu);
-  auto& entry_ptr = shard.entries[oid];
-  if (entry_ptr == nullptr) entry_ptr = std::make_shared<LockEntry>();
-  std::shared_ptr<LockEntry> entry = entry_ptr;
+  // Stable across the unlocked detection passes below: this thread's own
+  // request keeps the queue non-empty, so the entry is never recycled.
+  LockEntry* entry = EntryFor(shard, oid);
 
-  Request* mine = FindRequest(entry.get(), txn);
+  Request* mine = FindRequest(entry, txn);
   if (mine != nullptr && mine->has_held) {
     if (mine->held == LockMode::kExclusive || mine->held == mode) {
       return Status::Ok();  // re-entrant; already strong enough
@@ -204,7 +226,7 @@ Status LockManager::Acquire(TxnId txn, ObjectId oid, LockMode mode,
         cycle.push_back(r->txn);
         profiles.emplace(r->txn, r->profile);
       }
-      TxnId v = deadlock::SelectVictim(cycle, profiles, victim_policy());
+      TxnId v = deadlock::SelectVictim(cycle, profiles);
       if (v == kInvalidTxn) break;  // everyone exempt; timeout backstop
       deadlocks_detected_.fetch_add(1);
       if (v == txn) {
@@ -245,9 +267,9 @@ Status LockManager::Acquire(TxnId txn, ObjectId oid, LockMode mode,
     if (mode == LockMode::kExclusive) mine->want = LockMode::kExclusive;
   }
 
-  if (TryGrant(entry.get())) entry->cv.notify_all();
+  if (TryGrant(entry)) entry->cv.notify_all();
 
-  mine = FindRequest(entry.get(), txn);
+  mine = FindRequest(entry, txn);
   if (mine != nullptr && !mine->waiting) {
     if (history_enabled_) shard.history[oid].insert(txn);
     return Status::Ok();
@@ -263,7 +285,7 @@ Status LockManager::Acquire(TxnId txn, ObjectId oid, LockMode mode,
   for (;;) {
     // Re-find every iteration: the queue vector reallocates under churn,
     // and the shard mutex was dropped across detection passes.
-    mine = FindRequest(entry.get(), txn);
+    mine = FindRequest(entry, txn);
     if (mine == nullptr) {
       // Defensive; only this thread withdraws its own request.
       if (detect) DeregisterWaiter(txn);
@@ -285,14 +307,14 @@ Status LockManager::Acquire(TxnId txn, ObjectId oid, LockMode mode,
                                                                   now)
                 .count()));
       }
-      WithdrawRequest(shard, entry.get(), oid, txn);
+      WithdrawRequest(shard, entry, oid, txn);
       l.unlock();
       BRAHMA_FAILPOINT_HIT("deadlock:victim");
       return Status::DeadlockVictim("deadlock victim on " + oid.ToString());
     }
     if (now >= deadline) {
       if (detect) DeregisterWaiter(txn);
-      WithdrawRequest(shard, entry.get(), oid, txn);
+      WithdrawRequest(shard, entry, oid, txn);
       return Status::TimedOut("lock wait timeout on " + oid.ToString());
     }
     if (detect && now >= next_detect) {
@@ -318,7 +340,7 @@ void LockManager::Release(TxnId txn, ObjectId oid) {
   std::unique_lock<std::mutex> l(shard.mu);
   auto it = shard.entries.find(oid);
   if (it == shard.entries.end()) return;
-  std::shared_ptr<LockEntry> entry = it->second;
+  LockEntry* entry = it->second.get();
   for (auto rit = entry->queue.begin(); rit != entry->queue.end(); ++rit) {
     if (rit->txn == txn) {
       entry->queue.erase(rit);
@@ -326,10 +348,10 @@ void LockManager::Release(TxnId txn, ObjectId oid) {
     }
   }
   if (entry->queue.empty()) {
-    shard.entries.erase(it);
+    PruneIfEmpty(shard, it);
     return;
   }
-  if (TryGrant(entry.get())) entry->cv.notify_all();
+  if (TryGrant(entry)) entry->cv.notify_all();
 }
 
 bool LockManager::IsHeld(TxnId txn, ObjectId oid, LockMode* mode) const {
@@ -372,6 +394,7 @@ void LockManager::ClearAllState() {
   for (Shard& shard : shards_) {
     std::unique_lock<std::mutex> l(shard.mu);
     shard.entries.clear();
+    shard.spare.clear();
     shard.history.clear();
   }
   std::lock_guard<std::mutex> g(graph_mu_);

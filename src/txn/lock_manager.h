@@ -29,13 +29,13 @@ enum class LockMode : uint8_t { kShared, kExclusive };
 // (Section 5) — and, since DESIGN.md §10, by waits-for cycle detection
 // layered underneath it: a blocked Acquire registers in a waits-for
 // registry and, after kDeadlockDetectGrace, runs DFS cycle detection over
-// the merged per-shard wait queues. On a cycle the cheapest member
-// (VictimPolicy; reorg transactions before user transactions) has its
-// pending request cancelled and its Acquire returns
-// Status::DeadlockVictim — held locks intact, no timeout burned; the
-// caller aborts (compensated, §8) and retries. The timeout remains the
-// backstop for anything detection declines (all-no_victim cycles, cycles
-// longer than kDeadlockMaxDfsDepth).
+// the merged per-shard wait queues. On a cycle the cheapest member (reorg
+// transactions before user transactions) has its pending request
+// cancelled and its Acquire returns Status::DeadlockVictim — held locks
+// intact, no timeout burned; the caller aborts (compensated, §8) and
+// retries. The timeout remains the backstop for anything detection
+// declines (all-no_victim cycles, cycles longer than
+// kDeadlockMaxDfsDepth).
 //
 // Grant policy: FIFO among waiters (no barging), except that upgrade
 // requests (S -> X by a current holder) are considered first. Re-entrant
@@ -80,12 +80,6 @@ class LockManager {
   }
   DeadlockPolicy deadlock_policy() const {
     return deadlock_policy_.load(std::memory_order_relaxed);
-  }
-  void set_victim_policy(VictimPolicy p) {
-    victim_policy_.store(p, std::memory_order_relaxed);
-  }
-  VictimPolicy victim_policy() const {
-    return victim_policy_.load(std::memory_order_relaxed);
   }
 
   // Waits-for cycles broken (graph detection and upgrade fast-fail; not
@@ -138,9 +132,19 @@ class LockManager {
     std::condition_variable cv;
   };
 
-  struct Shard {
+  using EntryMap = std::unordered_map<ObjectId, std::unique_ptr<LockEntry>>;
+
+  // One cache line (or more) per shard, so two cores locking objects in
+  // different shards never write the same line. An entry whose queue
+  // empties is parked in `spare` (map node, entry and queue capacity
+  // intact) and handed to the next object that needs one, up to
+  // kSpareEntries per shard. An entry is only recycled with an empty
+  // queue, and a thread waiting on its cv always has its own request
+  // queued, so a waiter never sees its entry reused under it.
+  struct alignas(64) Shard {
     mutable std::mutex mu;
-    std::unordered_map<ObjectId, std::shared_ptr<LockEntry>> entries;
+    EntryMap entries;
+    std::vector<EntryMap::node_type> spare;
     std::unordered_map<ObjectId, std::unordered_set<TxnId>> history;
   };
 
@@ -152,7 +156,10 @@ class LockManager {
     WaiterProfile profile;
   };
 
-  static constexpr size_t kNumShards = 64;
+  // Enough shards that the few dozen objects concurrent transactions
+  // lock rarely share one (DESIGN.md §10); about 0.2 MiB of shards.
+  static constexpr size_t kNumShards = 1024;
+  static constexpr size_t kSpareEntries = 2;
 
   Shard& ShardFor(ObjectId oid) {
     return shards_[ObjectIdHash{}(oid) % kNumShards];
@@ -170,6 +177,13 @@ class LockManager {
   static bool TryGrant(LockEntry* entry);
 
   static Request* FindRequest(LockEntry* entry, TxnId txn);
+
+  // The entry for oid, created (from a spare if one is parked) when the
+  // object has none. Caller holds the shard mutex.
+  static LockEntry* EntryFor(Shard& shard, ObjectId oid);
+  // Drops oid's entry from the table if its queue is empty, parking it as
+  // a spare. Caller holds the shard mutex.
+  static void PruneIfEmpty(Shard& shard, EntryMap::iterator it);
 
   // Removes txn's pending request from entry — an upgrade reverts to its
   // originally held mode, a fresh request is erased — then re-grants and
@@ -203,7 +217,6 @@ class LockManager {
   bool history_enabled_ = false;
 
   std::atomic<DeadlockPolicy> deadlock_policy_{kDefaultDeadlockPolicy};
-  std::atomic<VictimPolicy> victim_policy_{kDefaultVictimPolicy};
 
   std::mutex graph_mu_;  // leaf; guards waiting_
   std::unordered_map<TxnId, WaitRecord> waiting_;

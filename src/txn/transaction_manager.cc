@@ -1,47 +1,56 @@
 #include "txn/transaction_manager.h"
 
-#include <algorithm>
-
 namespace brahma {
 
 std::unique_ptr<Transaction> TransactionManager::Begin(LogSource source) {
   TxnId id = next_id_.fetch_add(1);
   auto txn =
       std::unique_ptr<Transaction>(new Transaction(this, ctx_, id, source));
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    active_.insert(id);
-    registry_[id] = txn.get();
-  }
+  RegistryShard& shard = ShardFor(id);
+  std::lock_guard<std::mutex> g(shard.mu);
+  shard.txns.emplace(id, txn.get());
   return txn;
 }
 
 Lsn TransactionManager::MinActiveFirstLsn() const {
-  std::lock_guard<std::mutex> g(mu_);
   Lsn min_lsn = kInvalidLsn;
-  for (const auto& [id, txn] : registry_) {
-    (void)id;
-    Lsn f = txn->first_lsn();
-    if (f != kInvalidLsn && (min_lsn == kInvalidLsn || f < min_lsn)) {
-      min_lsn = f;
+  for (const RegistryShard& shard : shards_) {
+    std::lock_guard<std::mutex> g(shard.mu);
+    for (const auto& [id, txn] : shard.txns) {
+      (void)id;
+      Lsn f = txn->first_lsn();
+      if (f != kInvalidLsn && (min_lsn == kInvalidLsn || f < min_lsn)) {
+        min_lsn = f;
+      }
     }
   }
   return min_lsn;
 }
 
 std::vector<TxnId> TransactionManager::ActiveTxns() const {
-  std::lock_guard<std::mutex> g(mu_);
-  return {active_.begin(), active_.end()};
+  std::vector<TxnId> ids;
+  for (const RegistryShard& shard : shards_) {
+    std::lock_guard<std::mutex> g(shard.mu);
+    for (const auto& [id, txn] : shard.txns) {
+      (void)txn;
+      ids.push_back(id);
+    }
+  }
+  return ids;
 }
 
 bool TransactionManager::IsActive(TxnId id) const {
-  std::lock_guard<std::mutex> g(mu_);
-  return active_.count(id) > 0;
+  const RegistryShard& shard = ShardFor(id);
+  std::lock_guard<std::mutex> g(shard.mu);
+  return shard.txns.count(id) > 0;
 }
 
 void TransactionManager::WaitForTxn(TxnId id) {
-  std::unique_lock<std::mutex> l(mu_);
-  cv_.wait(l, [this, id]() { return active_.count(id) == 0; });
+  RegistryShard& shard = ShardFor(id);
+  std::unique_lock<std::mutex> l(shard.mu);
+  ++shard.waiters;
+  shard.cv.wait(l, [&shard, id]() { return shard.txns.count(id) == 0; });
+  --shard.waiters;
 }
 
 void TransactionManager::WaitForAll(const std::vector<TxnId>& ids) {
@@ -49,40 +58,40 @@ void TransactionManager::WaitForAll(const std::vector<TxnId>& ids) {
 }
 
 void TransactionManager::Reset() {
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    active_.clear();
-    registry_.clear();
+  for (RegistryShard& shard : shards_) {
+    std::lock_guard<std::mutex> g(shard.mu);
+    for (auto& [id, txn] : shard.txns) {
+      (void)id;
+      txn->held_.Clear();
+    }
+    shard.txns.clear();
+    shard.cv.notify_all();
   }
-  cv_.notify_all();
 }
 
-void TransactionManager::OnAbandon(Transaction* txn) {
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    active_.erase(txn->id());
-    registry_.erase(txn->id());
-  }
-  cv_.notify_all();
+void TransactionManager::Deregister(TxnId id) {
+  RegistryShard& shard = ShardFor(id);
+  std::lock_guard<std::mutex> g(shard.mu);
+  shard.txns.erase(id);
+  if (shard.waiters > 0) shard.cv.notify_all();
 }
+
+void TransactionManager::OnAbandon(Transaction* txn) { Deregister(txn->id()); }
 
 void TransactionManager::OnComplete(Transaction* txn, bool committed) {
-  if (completion_hook_) completion_hook_(txn->id(), committed);
+  if (completion_hook_ && txn->last_lsn_ != kInvalidLsn) {
+    completion_hook_(txn->id(), committed);
+  }
   if (ctx_.locks->history_enabled()) {
     ctx_.locks->ForgetTxn(txn->id(), txn->ever_locked_);
   }
   // Release locks before declaring the transaction complete: a waiter in
   // WaitForTxn must be able to lock whatever the transaction held.
-  for (ObjectId oid : txn->held_) {
-    ctx_.locks->Release(txn->id(), oid);
+  for (const auto& e : txn->held_.entries()) {
+    ctx_.locks->Release(txn->id(), e.oid);
   }
-  txn->held_.clear();
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    active_.erase(txn->id());
-    registry_.erase(txn->id());
-  }
-  cv_.notify_all();
+  txn->held_.Clear();
+  Deregister(txn->id());
 }
 
 }  // namespace brahma

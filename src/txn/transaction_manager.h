@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "txn/transaction.h"
@@ -20,9 +19,16 @@ namespace brahma {
 // waits for all transactions that are active at the time it started to
 // complete, before starting the fuzzy traversal", Section 4.5) and the
 // Section 4.1 wait-for-historical-lockers extension.
+//
+// The registry is sharded by TxnId, each shard with its own mutex and
+// condition variable, so Begin and completion on different cores do not
+// share a lock. ActiveTxns and MinActiveFirstLsn scan the shards one at a
+// time; DESIGN.md §10 says why that still serves the quiesce barrier and
+// the log-truncation floor.
 class TransactionManager {
  public:
-  explicit TransactionManager(TxnContext ctx) : ctx_(ctx) {}
+  explicit TransactionManager(TxnContext ctx)
+      : ctx_(ctx), shards_(kRegistryShards) {}
 
   TransactionManager(const TransactionManager&) = delete;
   TransactionManager& operator=(const TransactionManager&) = delete;
@@ -43,7 +49,9 @@ class TransactionManager {
   void WaitForAll(const std::vector<TxnId>& ids);
 
   // Hook invoked (synchronously, before lock release) whenever a
-  // transaction commits or aborts; used for TRT purging (Section 4.5).
+  // transaction that logged a record commits or aborts; used for TRT
+  // purging (Section 4.5) and log truncation. A transaction the log never
+  // saw has no TRT tuple and pins no log, so it skips the hook.
   void SetCompletionHook(std::function<void(TxnId, bool /*committed*/)> fn) {
     completion_hook_ = std::move(fn);
   }
@@ -51,8 +59,9 @@ class TransactionManager {
   const TxnContext& ctx() const { return ctx_; }
 
   // Crash simulation: forgets all active transactions (their effects are
-  // rolled back by restart recovery, not by in-memory undo). Outstanding
-  // Transaction objects must not be used afterwards.
+  // rolled back by restart recovery, not by in-memory undo) and empties
+  // their held-lock tables, so an outstanding Transaction object that is
+  // used afterwards fails every access as one without a lock.
   void Reset();
 
  private:
@@ -65,13 +74,29 @@ class TransactionManager {
   // completion hook or releasing locks (crash semantics).
   void OnAbandon(Transaction* txn);
 
+  // Removes txn from its registry shard and wakes that shard's waiters.
+  void Deregister(TxnId id);
+
+  struct alignas(64) RegistryShard {
+    mutable std::mutex mu;
+    std::condition_variable cv;
+    std::unordered_map<TxnId, Transaction*> txns;  // the active ones
+    // WaitForTxn callers blocked on cv; a completion notifies only when
+    // there is one.
+    uint32_t waiters = 0;
+  };
+
+  static constexpr size_t kRegistryShards = 64;
+
+  RegistryShard& ShardFor(TxnId id) { return shards_[id % kRegistryShards]; }
+  const RegistryShard& ShardFor(TxnId id) const {
+    return shards_[id % kRegistryShards];
+  }
+
   TxnContext ctx_;
   std::function<void(TxnId, bool)> completion_hook_;
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::unordered_set<TxnId> active_;
-  std::unordered_map<TxnId, Transaction*> registry_;
+  std::vector<RegistryShard> shards_;
   std::atomic<TxnId> next_id_{1};
 };
 

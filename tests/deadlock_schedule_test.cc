@@ -105,15 +105,10 @@ TEST(DeadlockGraphTest, ReorgFirstVictimSelection) {
   profiles[1] = Reorg(/*side_effects=*/50, /*locks=*/20);  // old, expensive
   profiles[2] = User();                                    // young, cheap
   // Reorg is always cheaper than user, regardless of undo cost or age.
-  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles, VictimPolicy::kReorgFirst),
-            1u);
-  // The youngest policy ignores the reorg bit entirely.
-  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles, VictimPolicy::kYoungest),
-            2u);
+  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles), 1u);
   // Two reorg members: fewer side effects loses.
   profiles[2] = Reorg(/*side_effects=*/3, /*locks=*/100);
-  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles, VictimPolicy::kReorgFirst),
-            2u);
+  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles), 2u);
 }
 
 TEST(DeadlockGraphTest, NoVictimExemption) {
@@ -122,12 +117,10 @@ TEST(DeadlockGraphTest, NoVictimExemption) {
   profiles[1].no_victim = true;  // compensation in progress
   profiles[2] = User();
   // The exempt reorg txn is skipped; the user txn is all that is left.
-  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles, VictimPolicy::kReorgFirst),
-            2u);
+  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles), 2u);
   profiles[2].no_victim = true;
   // Everybody exempt: no victim; the lock-wait timeout is the backstop.
-  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles, VictimPolicy::kReorgFirst),
-            kInvalidTxn);
+  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles), kInvalidTxn);
 }
 
 // --- deterministic LockManager schedules ---------------------------------

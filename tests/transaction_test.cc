@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "common/failpoint.h"
 #include "core/database.h"
 #include "tests/test_util.h"
@@ -372,6 +377,304 @@ TEST_F(TransactionTest, ActiveSetAndWait) {
   txn->Commit();
   EXPECT_FALSE(db_.txns().IsActive(id));
   db_.txns().WaitForTxn(id);  // returns immediately
+}
+
+// --- the held-mode table ---------------------------------------------------
+//
+// A transaction answers "do I hold oid, and in which mode?" from its own
+// table instead of the shared lock table (DESIGN.md §10). These tests fail
+// if that table ever says "held" where the lock table does not.
+
+class HeldModeTest : public TransactionTest {
+ protected:
+  HeldModeTest() {
+    auto setup = db_.Begin();
+    EXPECT_TRUE(setup->CreateObject(1, 1, 8, &a_).ok());
+    EXPECT_TRUE(setup->Commit().ok());
+  }
+  void TearDown() override { FailPoints::Instance().Reset(); }
+
+  // Every accessor on a_ fails with Internal ("accessed without lock").
+  void ExpectNoAccess(Transaction* txn) {
+    std::vector<ObjectId> refs;
+    std::vector<uint8_t> bytes;
+    ObjectId ref;
+    EXPECT_TRUE(txn->ReadRefs(a_, &refs).IsInternal());
+    EXPECT_TRUE(txn->ReadRef(a_, 0, &ref).IsInternal());
+    EXPECT_TRUE(txn->ReadData(a_, &bytes).IsInternal());
+    EXPECT_TRUE(txn->SetRef(a_, 0, ObjectId()).IsInternal());
+    EXPECT_TRUE(txn->WriteData(a_, std::vector<uint8_t>(8)).IsInternal());
+    EXPECT_FALSE(txn->Holds(a_));
+  }
+
+  ObjectId a_;
+};
+
+TEST_F(HeldModeTest, AccessAfterUnlockFails) {
+  auto txn = db_.Begin();
+  ASSERT_TRUE(txn->Lock(a_, LockMode::kExclusive).ok());
+  ASSERT_TRUE(txn->WriteData(a_, std::vector<uint8_t>(8, 1)).ok());
+  txn->Unlock(a_);
+  EXPECT_FALSE(db_.locks().IsHeld(txn->id(), a_));
+  ExpectNoAccess(txn.get());
+  ASSERT_TRUE(txn->Commit().ok());
+}
+
+TEST_F(HeldModeTest, AccessAfterCommitFails) {
+  auto txn = db_.Begin();
+  ASSERT_TRUE(txn->Lock(a_, LockMode::kShared).ok());
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(txn->ReadData(a_, &bytes).ok());
+  ASSERT_TRUE(txn->Commit().ok());
+  EXPECT_EQ(db_.locks().NumLockedObjects(), 0u);
+  ExpectNoAccess(txn.get());
+}
+
+TEST_F(HeldModeTest, FailedUpgradeByTimeoutKeepsShared) {
+  auto t1 = db_.Begin();
+  auto t2 = db_.Begin();
+  ASSERT_TRUE(t1->Lock(a_, LockMode::kShared).ok());
+  ASSERT_TRUE(t2->Lock(a_, LockMode::kShared).ok());
+  EXPECT_TRUE(t1->LockWithTimeout(a_, LockMode::kExclusive, 30ms).IsTimedOut());
+  EXPECT_TRUE(t1->WriteData(a_, std::vector<uint8_t>(8)).IsInternal());
+  std::vector<uint8_t> bytes;
+  EXPECT_TRUE(t1->ReadData(a_, &bytes).ok());
+  LockMode m;
+  ASSERT_TRUE(db_.locks().IsHeld(t1->id(), a_, &m));
+  EXPECT_EQ(m, LockMode::kShared);
+  ASSERT_TRUE(t2->Commit().ok());
+  ASSERT_TRUE(t1->Commit().ok());
+}
+
+TEST_F(HeldModeTest, FailedUpgradeByDeadlockKeepsShared) {
+  // Both hold S and both ask for X: the younger rival (same cost
+  // otherwise) is fast-failed as the deadlock victim, whichever arrives
+  // first.
+  auto older = db_.Begin();
+  auto younger = db_.Begin();
+  ASSERT_TRUE(older->Lock(a_, LockMode::kShared).ok());
+  ASSERT_TRUE(younger->Lock(a_, LockMode::kShared).ok());
+  Status older_upgrade;
+  std::thread t([&] {
+    older_upgrade = older->LockWithTimeout(a_, LockMode::kExclusive, 5000ms);
+  });
+  Status s = younger->LockWithTimeout(a_, LockMode::kExclusive, 5000ms);
+  EXPECT_TRUE(s.IsDeadlockVictim()) << s.ToString();
+  EXPECT_TRUE(younger->WriteData(a_, std::vector<uint8_t>(8)).IsInternal());
+  std::vector<uint8_t> bytes;
+  EXPECT_TRUE(younger->ReadData(a_, &bytes).ok());
+  ASSERT_TRUE(younger->Abort().ok());
+  t.join();
+  ASSERT_TRUE(older_upgrade.ok()) << older_upgrade.ToString();
+  EXPECT_TRUE(older->WriteData(a_, std::vector<uint8_t>(8, 2)).ok());
+  ASSERT_TRUE(older->Commit().ok());
+}
+
+TEST_F(HeldModeTest, AbandonedTxnFailsRequireHeld) {
+  auto txn = db_.Begin();
+  ASSERT_TRUE(txn->Lock(a_, LockMode::kExclusive).ok());
+  txn->Abandon();
+  // Crash semantics: the lock stays in the shared table, but the
+  // abandoned transaction no longer owns it.
+  EXPECT_TRUE(db_.locks().IsHeld(txn->id(), a_));
+  ExpectNoAccess(txn.get());
+  db_.SimulateCrash();
+  ASSERT_TRUE(db_.Recover().ok());
+}
+
+TEST_F(HeldModeTest, TxnOutstandingAcrossCrashFailsRequireHeld) {
+  auto txn = db_.Begin();
+  ASSERT_TRUE(txn->Lock(a_, LockMode::kExclusive).ok());
+  ASSERT_TRUE(txn->WriteData(a_, std::vector<uint8_t>(8, 4)).ok());
+  db_.SimulateCrash();
+  EXPECT_EQ(db_.locks().NumLockedObjects(), 0u);
+  ExpectNoAccess(txn.get());
+  txn->Abandon();
+  ASSERT_TRUE(db_.Recover().ok());
+}
+
+TEST_F(HeldModeTest, ReentrantLockSkipsLockTable) {
+  FailPoints& fp = FailPoints::Instance();
+  fp.Reset();
+  fp.set_tracing(true);
+  auto txn = db_.Begin();
+  ASSERT_TRUE(txn->Lock(a_, LockMode::kShared).ok());
+  EXPECT_EQ(fp.hits("lock:acquire"), 1u);
+  ASSERT_TRUE(txn->Lock(a_, LockMode::kShared).ok());
+  EXPECT_EQ(fp.hits("lock:acquire"), 1u);
+  // With every acquisition failing, a re-entrant S still succeeds (it
+  // never reaches the lock table) while the upgrade fails and leaves S.
+  ASSERT_TRUE(fp.ArmFromString("lock:acquire=timeout").ok());
+  EXPECT_TRUE(txn->Lock(a_, LockMode::kShared).ok());
+  EXPECT_FALSE(txn->Lock(a_, LockMode::kExclusive).ok());
+  EXPECT_TRUE(txn->WriteData(a_, std::vector<uint8_t>(8)).IsInternal());
+  fp.Reset();
+  fp.set_tracing(true);
+  ASSERT_TRUE(txn->Lock(a_, LockMode::kExclusive).ok());
+  EXPECT_EQ(fp.hits("lock:acquire"), 1u);
+  // X covers both modes.
+  ASSERT_TRUE(txn->Lock(a_, LockMode::kShared).ok());
+  ASSERT_TRUE(txn->Lock(a_, LockMode::kExclusive).ok());
+  EXPECT_EQ(fp.hits("lock:acquire"), 1u);
+  EXPECT_TRUE(txn->WriteData(a_, std::vector<uint8_t>(8, 5)).ok());
+  ASSERT_TRUE(txn->Commit().ok());
+}
+
+TEST_F(TransactionTest, ManyHeldLocksStayExact) {
+  // Past the linear-scan size the table switches to a hash index; Unlock
+  // in the middle must keep every other entry findable.
+  constexpr int kObjects = 200;
+  std::vector<ObjectId> oids(kObjects);
+  {
+    auto setup = db_.Begin();
+    for (ObjectId& oid : oids) {
+      ASSERT_TRUE(setup->CreateObject(1, 0, 8, &oid).ok());
+    }
+    ASSERT_TRUE(setup->Commit().ok());
+  }
+  auto txn = db_.Begin();
+  for (int i = 0; i < kObjects; ++i) {
+    LockMode mode = i % 2 == 0 ? LockMode::kShared : LockMode::kExclusive;
+    ASSERT_TRUE(txn->Lock(oids[i], mode).ok());
+  }
+  for (int i = 0; i < kObjects; i += 3) txn->Unlock(oids[i]);
+  std::vector<uint8_t> bytes;
+  for (int i = 0; i < kObjects; ++i) {
+    const bool held = i % 3 != 0;
+    EXPECT_EQ(txn->Holds(oids[i]), held) << i;
+    EXPECT_EQ(db_.locks().IsHeld(txn->id(), oids[i]), held) << i;
+    EXPECT_EQ(txn->ReadData(oids[i], &bytes).ok(), held) << i;
+    EXPECT_EQ(txn->WriteData(oids[i], std::vector<uint8_t>(8)).ok(),
+              held && i % 2 == 1)
+        << i;
+  }
+  EXPECT_EQ(txn->num_locks_held(), static_cast<size_t>(kObjects - 67));
+  ASSERT_TRUE(txn->Commit().ok());
+  EXPECT_EQ(db_.locks().NumLockedObjects(), 0u);
+}
+
+TEST_F(TransactionTest, FirstLsnFloorVisibleWhileFirstRecordAppends) {
+  // The append observer runs inside Append, after the record is in the
+  // log and before Append returns. A log truncation running at that
+  // instant must already see a floor at or below the record.
+  ObjectId a;
+  {
+    auto setup = db_.Begin();
+    ASSERT_TRUE(setup->CreateObject(1, 0, 8, &a).ok());
+    ASSERT_TRUE(setup->Commit().ok());
+  }
+  auto txn = db_.Begin();
+  ASSERT_TRUE(txn->Lock(a, LockMode::kExclusive).ok());
+  const TxnId id = txn->id();
+  bool checked = false;
+  db_.log().SetAppendObserver([&](const LogRecord& rec) {
+    if (rec.txn != id || checked) return;
+    checked = true;
+    const Lsn floor = db_.txns().MinActiveFirstLsn();
+    EXPECT_NE(floor, kInvalidLsn);
+    EXPECT_LE(floor, rec.lsn);
+  });
+  ASSERT_TRUE(txn->WriteData(a, std::vector<uint8_t>(8, 1)).ok());
+  db_.log().SetAppendObserver(nullptr);
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(txn->first_lsn(), db_.log().last_lsn());
+  ASSERT_TRUE(txn->Commit().ok());
+}
+
+// --- the sharded registry ----------------------------------------------------
+//
+// Churn threads run Begin/Commit while a checker thread takes ActiveTxns()
+// and waits on it. Eight pinned transactions, held open by this thread,
+// must all be in the snapshot; WaitForAll must not return before each of
+// them completes; and MinActiveFirstLsn must be the minimum over every
+// shard, even when the oldest record belongs to the last-begun txn.
+TEST_F(TransactionTest, ShardedRegistrySnapshotAndWait) {
+  constexpr int kPinned = 8;
+  constexpr int kChurners = 3;
+  std::vector<ObjectId> pinned_obj(kPinned), churn_obj(kChurners);
+  {
+    auto setup = db_.Begin();
+    for (ObjectId& o : pinned_obj) {
+      ASSERT_TRUE(setup->CreateObject(1, 0, 8, &o).ok());
+    }
+    for (ObjectId& o : churn_obj) {
+      ASSERT_TRUE(setup->CreateObject(1, 0, 8, &o).ok());
+    }
+    ASSERT_TRUE(setup->Commit().ok());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> churned{0};
+  std::vector<std::thread> churners;
+  for (int c = 0; c < kChurners; ++c) {
+    churners.emplace_back([&, c] {
+      std::vector<uint8_t> bytes;
+      while (!stop.load()) {
+        auto txn = db_.Begin();
+        ASSERT_TRUE(txn->Lock(churn_obj[c], LockMode::kShared).ok());
+        ASSERT_TRUE(txn->ReadData(churn_obj[c], &bytes).ok());
+        ASSERT_TRUE(txn->Commit().ok());
+        churned.fetch_add(1);
+      }
+    });
+  }
+
+  // Begin the pinned transactions among the churn, then log in reverse
+  // order so the smallest first LSN belongs to the last one begun.
+  std::vector<std::unique_ptr<Transaction>> pinned;
+  for (int i = 0; i < kPinned; ++i) {
+    pinned.push_back(db_.Begin());
+    std::this_thread::sleep_for(1ms);
+  }
+  for (int i = kPinned - 1; i >= 0; --i) {
+    ASSERT_TRUE(pinned[i]->Lock(pinned_obj[i], LockMode::kExclusive).ok());
+    ASSERT_TRUE(
+        pinned[i]->WriteData(pinned_obj[i], std::vector<uint8_t>(8, 1)).ok());
+  }
+  auto min_pinned_first_lsn = [&pinned](size_t from) {
+    Lsn m = kInvalidLsn;
+    for (size_t i = from; i < pinned.size(); ++i) {
+      Lsn f = pinned[i]->first_lsn();
+      if (m == kInvalidLsn || f < m) m = f;
+    }
+    return m;
+  };
+  ASSERT_EQ(min_pinned_first_lsn(0), pinned[kPinned - 1]->first_lsn());
+  EXPECT_EQ(db_.txns().MinActiveFirstLsn(), min_pinned_first_lsn(0));
+
+  std::vector<TxnId> snapshot;
+  std::atomic<bool> have_snapshot{false};
+  std::atomic<bool> waited{false};
+  std::thread checker([&] {
+    snapshot = db_.txns().ActiveTxns();
+    have_snapshot.store(true);
+    db_.txns().WaitForAll(snapshot);
+    waited.store(true);
+  });
+  while (!have_snapshot.load()) std::this_thread::yield();
+  for (const auto& txn : pinned) {
+    EXPECT_NE(std::find(snapshot.begin(), snapshot.end(), txn->id()),
+              snapshot.end())
+        << txn->id();
+  }
+
+  // Commit oldest-begun first; the minimum moves only when the owner of
+  // the smallest first LSN (the last one) completes.
+  for (int i = 0; i < kPinned; ++i) {
+    std::this_thread::sleep_for(2ms);
+    EXPECT_FALSE(waited.load()) << "returned before pinned txn " << i;
+    EXPECT_EQ(db_.txns().MinActiveFirstLsn(), min_pinned_first_lsn(i));
+    ASSERT_TRUE(pinned[i]->Commit().ok());
+  }
+  checker.join();
+  for (TxnId id : snapshot) EXPECT_FALSE(db_.txns().IsActive(id)) << id;
+
+  stop.store(true);
+  for (std::thread& t : churners) t.join();
+  EXPECT_GT(churned.load(), 0u);
+  EXPECT_EQ(db_.txns().MinActiveFirstLsn(), kInvalidLsn);
+  EXPECT_TRUE(db_.txns().ActiveTxns().empty());
+  EXPECT_EQ(db_.locks().NumLockedObjects(), 0u);
 }
 
 }  // namespace
