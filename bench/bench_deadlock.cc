@@ -1,7 +1,7 @@
 // Deadlock handling ablation: timeout-only (the paper's 1 s-timeout
 // baseline) vs waits-for graph detection with reorg-first victim
-// selection vs wait-die, on a contended Fig-6 style workload with a
-// 4-worker parallel IRA in flight.
+// selection, on a contended Fig-6 style workload with a 4-worker
+// parallel IRA in flight.
 //
 // Expected shape: under timeout-only, every user/reorg cycle parks both
 // parties for the full lock timeout before one aborts, so contended user
@@ -10,8 +10,7 @@
 // never victims while a reorg transaction is in the cycle), and the user
 // transaction proceeds after milliseconds instead of the full timeout —
 // victim_wait_ms_saved tallies exactly the parked time detection
-// reclaimed. Wait-die also resolves early but victimizes by age alone, so
-// it aborts user transactions too and restarts more work than it saves.
+// reclaimed.
 //
 // Emits BENCH_deadlock.json in the working directory.
 
@@ -28,7 +27,6 @@ const char* PolicyName(DeadlockPolicy p) {
   switch (p) {
     case DeadlockPolicy::kTimeoutOnly: return "timeout_only";
     case DeadlockPolicy::kDetect: return "detect";
-    case DeadlockPolicy::kWaitDie: return "wait_die";
   }
   return "?";
 }
@@ -56,16 +54,15 @@ void Run() {
   }
 
   const std::vector<DeadlockPolicy> policies = {DeadlockPolicy::kTimeoutOnly,
-                                                DeadlockPolicy::kDetect,
-                                                DeadlockPolicy::kWaitDie};
+                                                DeadlockPolicy::kDetect};
 
   std::printf("# Deadlock ablation — user p99 and reorg wall-clock, "
-              "timeout-only vs waits-for detection vs wait-die\n");
+              "timeout-only vs waits-for detection\n");
   PrintSeriesHeader("mode", {"mpl", "reorg_ms", "user_tps", "user_p99_ms",
                              "detected", "victims", "saved_ms",
                              "lock_timeouts"});
   JsonBenchWriter json("deadlock");
-  // mode 0 = timeout-only, 1 = waits-for detection, 2 = wait-die.
+  // mode 0 = timeout-only, 1 = waits-for detection.
   for (size_t mode = 0; mode < policies.size(); ++mode) {
     for (uint32_t mpl : mpls) {
       ExperimentConfig cfg;

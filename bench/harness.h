@@ -82,8 +82,8 @@ struct ExperimentConfig {
   // BRAHMA_BENCH_FULL=1 restores the literal 1 s. Both values live in
   // common/params.h so library defaults and benchmarks stay in sync.
   std::chrono::milliseconds lock_timeout = kCalibratedLockTimeout;
-  // Deadlock handling during lock waits: waits-for detection (default),
-  // wait-die, or the paper's timeout-only baseline (DESIGN.md §10).
+  // Deadlock handling during lock waits: waits-for detection (default)
+  // or the paper's timeout-only baseline (DESIGN.md §10).
   DeadlockPolicy deadlock_policy = kDefaultDeadlockPolicy;
   // Durability substrate (DESIGN.md §12): kInMemory pays flush_latency
   // per force; kDisk writes real WAL segments + checkpoint images under

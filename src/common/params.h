@@ -40,11 +40,7 @@ inline constexpr std::chrono::microseconds kCommitForceLatency{800};
 //   cycle detection after kDeadlockDetectGrace (most waits are shorter
 //   than the grace, so the common no-conflict path never touches the
 //   graph machinery beyond registration).
-// * kWaitDie    — non-graph baseline: a requester younger than an
-//   incompatible holder dies instantly (TxnIds are assigned monotonically,
-//   so id order is age order). No cycles can form, at the price of
-//   aborting many non-deadlocked transactions.
-enum class DeadlockPolicy : uint8_t { kTimeoutOnly, kDetect, kWaitDie };
+enum class DeadlockPolicy : uint8_t { kTimeoutOnly, kDetect };
 
 inline constexpr DeadlockPolicy kDefaultDeadlockPolicy = DeadlockPolicy::kDetect;
 

@@ -50,8 +50,8 @@ struct DatabaseOptions {
   std::chrono::milliseconds lock_timeout = kPaperLockTimeout;
 
   // How lock waits detect and break deadlocks before the timeout fires:
-  // waits-for graph detection (default), wait-die, or the paper's
-  // timeout-only baseline. See common/params.h and DESIGN.md §10.
+  // waits-for graph detection (default) or the paper's timeout-only
+  // baseline. See common/params.h and DESIGN.md §10.
   DeadlockPolicy deadlock_policy = kDefaultDeadlockPolicy;
 
   // Epoch-protected latch-free read path (DESIGN.md §11): ReadRefs/

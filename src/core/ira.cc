@@ -1102,7 +1102,7 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
                                                ctx_.txns->ctx().lock_timeout);
                 // Compensation runs under ScopedSuppress, so its profile
                 // is no_victim and the detector will not pick it; the
-                // victim check is defensive (fast-fail/wait-die could
+                // victim check is defensive (upgrade fast-fail could
                 // still cancel it) — retrying is always safe here because
                 // t holds at most this one lock.
                 if (ls.IsTimedOut() || ls.IsDeadlockVictim()) continue;

@@ -64,13 +64,15 @@ struct ReorgThrottleOptions {
 // one worker at a time; a capped worker parks holding no locks or claims
 // and still participates in checkpoint barriers.
 //
-// Thread-safe: Record arrives from N server workers concurrently while
+// Thread-safe: Record arrives from N server threads concurrently while
 // the reorganizer attaches/detaches from its own thread.
 class ReorgThrottle {
  public:
   explicit ReorgThrottle(const ReorgThrottleOptions& options);
 
-  // One completed user operation took latency_ms (queue wait included).
+  // One completed user operation took latency_ms. The server measures
+  // from frame parse to reply write; time spent waiting for a free
+  // session thread sits in the kernel socket buffer and is not included.
   void Record(double latency_ms);
 
   // Reorganization lifecycle (called by IraReorganizer::RunPipe

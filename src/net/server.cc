@@ -22,21 +22,22 @@ namespace brahma {
 namespace net {
 
 namespace {
-// epoll user-data sentinels; session ids start at 1.
-constexpr uint64_t kListenTag = 0;
-constexpr uint64_t kWakeTag = ~uint64_t{0};
+constexpr int kListenBacklog = 1024;
+// Replies of pipelined frames are sent in batches of about this size,
+// and no further frame runs while a batch is unsent.
+constexpr size_t kReplyBatch = 64 * 1024;
 }  // namespace
 
 NetServer::Session::~Session() {
-  // Last reference: no worker or epoll event can touch this session
-  // anymore, so the single-owner Transaction is safe to abort here. A
+  // Destroyed by its owning thread (or by Stop after every thread is
+  // joined), so the single-owner Transaction is safe to abort here. A
   // session that dies mid-transaction (client crash, kill -9, protocol
   // fault) releases every lock it held — no leaked sessions, no user
   // transaction stuck behind a dead client's locks.
   if (txn != nullptr && txn->state() == Transaction::State::kActive) {
     txn->Abort();
   }
-  if (fd >= 0) ::close(fd);
+  ::close(fd);
 }
 
 NetServer::NetServer(Database* db, const ServerOptions& options)
@@ -72,7 +73,7 @@ Status NetServer::Start() {
   socklen_t alen = sizeof(addr);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &alen);
   port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, opts_.listen_backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     Status s = Status::Internal("listen: " + std::string(strerror(errno)));
     Stop();
     return s;
@@ -84,16 +85,20 @@ Status NetServer::Start() {
     Stop();
     return Status::Internal("epoll/eventfd setup failed");
   }
+  // The listen socket is one-shot like a session: the thread that wakes
+  // for it accepts every waiting connection, then re-arms it. The wake
+  // eventfd is level-triggered, so once Stop signals it every waiter
+  // wakes.
   epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenTag;
+  ev.events = EPOLLIN | EPOLLONESHOT;
+  ev.data.ptr = &listen_fd_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.u64 = kWakeTag;
+  ev.events = EPOLLIN;
+  ev.data.ptr = &wake_fd_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
   stop_.store(false);
   started_ = true;
-  epoll_thread_ = std::thread([this] { EpollMain(); });
   const uint32_t n = opts_.num_workers == 0 ? 1 : opts_.num_workers;
   workers_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -105,15 +110,10 @@ Status NetServer::Start() {
 void NetServer::Stop() {
   if (started_) {
     stop_.store(true);
-    WakeEpoll();
-    if (epoll_thread_.joinable()) epoll_thread_.join();
-    {
-      std::lock_guard<std::mutex> g(queue_mu_);
-      queue_cv_.notify_all();
-    }
-    for (std::thread& t : workers_) {
-      if (t.joinable()) t.join();
-    }
+    const uint64_t one = 1;
+    ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+    (void)n;
+    for (std::thread& t : workers_) t.join();
     workers_.clear();
     started_ = false;
   }
@@ -133,57 +133,16 @@ uint64_t NetServer::active_sessions() const {
   return sessions_.size();
 }
 
-void NetServer::WakeEpoll() {
-  if (wake_fd_ >= 0) {
-    uint64_t one = 1;
-    ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-    (void)n;
-  }
-}
-
-void NetServer::EpollMain() {
-  std::vector<epoll_event> events(256);
+void NetServer::WorkerMain() {
+  epoll_event ev{};
   while (!stop_.load()) {
-    int n = ::epoll_wait(epoll_fd_, events.data(),
-                         static_cast<int>(events.size()), 100);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
+    if (::epoll_wait(epoll_fd_, &ev, 1, -1) != 1) continue;  // EINTR
+    if (ev.data.ptr == &wake_fd_) continue;
+    if (ev.data.ptr == &listen_fd_) {
+      AcceptReady();
+    } else {
+      Serve(static_cast<Session*>(ev.data.ptr), ev.events);
     }
-    for (int i = 0; i < n; ++i) {
-      const uint64_t tag = events[i].data.u64;
-      if (tag == kListenTag) {
-        AcceptReady();
-        continue;
-      }
-      if (tag == kWakeTag) {
-        uint64_t drain;
-        while (::read(wake_fd_, &drain, sizeof(drain)) > 0) {
-        }
-        continue;
-      }
-      SessionPtr s;
-      {
-        std::lock_guard<std::mutex> g(sessions_mu_);
-        auto it = sessions_.find(tag);
-        if (it == sessions_.end()) continue;  // already closed this batch
-        s = it->second;
-      }
-      if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-        CloseFromEpoll(tag);
-        continue;
-      }
-      if (events[i].events & EPOLLOUT) FlushOut(s);
-      if (events[i].events & EPOLLIN) ReadReady(s);
-    }
-    // Drop sessions the workers condemned (send failure, injected
-    // session fault, protocol error found mid-execution).
-    std::vector<uint64_t> dead;
-    {
-      std::lock_guard<std::mutex> g(dying_mu_);
-      dead.swap(dying_);
-    }
-    for (uint64_t id : dead) CloseFromEpoll(id);
   }
 }
 
@@ -191,145 +150,97 @@ void NetServer::AcceptReady() {
   for (;;) {
     int fd = ::accept4(listen_fd_, nullptr, nullptr,
                        SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN or transient accept failure
+    if (fd < 0) break;  // EAGAIN or transient accept failure
     BRAHMA_FAILPOINT_HIT("net:server:accept");
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    SessionPtr s;
-    uint64_t id;
+    auto owned = std::make_unique<Session>(fd);
+    Session* s = owned.get();
     {
       std::lock_guard<std::mutex> g(sessions_mu_);
-      id = next_session_id_++;
-      s = std::make_shared<Session>(id, fd);
-      sessions_.emplace(id, s);
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      std::lock_guard<std::mutex> g(sessions_mu_);
-      sessions_.erase(id);
-      continue;
+      sessions_.emplace(s, std::move(owned));
     }
     sessions_accepted_.fetch_add(1);
+    // From here on the session belongs to whichever thread receives its
+    // first event.
+    Arm(s, EPOLLIN);
   }
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLONESHOT;
+  ev.data.ptr = &listen_fd_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &ev);
 }
 
-void NetServer::ReadReady(const SessionPtr& s) {
-  uint8_t buf[64 * 1024];
+void NetServer::Serve(Session* s, uint32_t events) {
+  if (events & (EPOLLHUP | EPOLLERR)) return Close(s);
+  bool read = false;
   for (;;) {
-    ssize_t n = ::recv(s->fd, buf, sizeof(buf), 0);
+    // A reply backlog is sent before another frame runs. A peer that
+    // stops reading gets EPOLLOUT interest only: the session reads and
+    // executes nothing more until its output drains, so its output
+    // stays within one reply batch.
+    if (!FlushOut(s)) return Close(s);
+    if (!s->out.empty()) return Arm(s, EPOLLOUT);
+    if (!ExecuteFrames(s)) return Close(s);
+    if (!s->out.empty()) continue;
+    // No complete frame is buffered. Read once per turn, so that one
+    // streaming client cannot hold its thread; re-arming re-checks
+    // readiness, and bytes still waiting fire the next event at once.
+    if (read) return Arm(s, EPOLLIN);
+    read = true;
+    uint8_t buf[64 * 1024];
+    const ssize_t n = ::recv(s->fd, buf, sizeof(buf), 0);
     if (n > 0) {
       s->in.insert(s->in.end(), buf, buf + n);
-      if (n < static_cast<ssize_t>(sizeof(buf))) break;
       continue;
     }
-    if (n == 0) {  // orderly shutdown
-      CloseFromEpoll(s->id);
-      return;
+    // n == 0 is an orderly shutdown; ECONNRESET from a killed client
+    // lands here too.
+    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
+      return Close(s);
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    CloseFromEpoll(s->id);  // ECONNRESET from a killed client lands here
-    return;
-  }
-  if (!DrainFrames(s)) {
-    frames_rejected_.fetch_add(1);
-    sessions_dropped_.fetch_add(1);
-    CloseFromEpoll(s->id);
+    return Arm(s, EPOLLIN);
   }
 }
 
-bool NetServer::DrainFrames(const SessionPtr& s) {
+bool NetServer::ExecuteFrames(Session* s) {
   size_t off = 0;
-  bool queued_any = false;
-  while (off < s->in.size()) {
+  while (s->out.size() < kReplyBatch) {
     uint8_t op;
     const uint8_t* payload;
     uint32_t payload_len;
     size_t frame_len;
-    FrameResult r = ParseFrame(s->in.data() + off, s->in.size() - off, &op,
-                               &payload, &payload_len, &frame_len);
+    const FrameResult r =
+        ParseFrame(s->in.data() + off, s->in.size() - off, &op, &payload,
+                   &payload_len, &frame_len);
     if (r == FrameResult::kNeedMore) break;
-    if (r != FrameResult::kFrame) return false;  // poisoned byte stream
-    Request req;
-    req.op = op;
-    req.payload.assign(payload, payload + payload_len);
-    req.arrival_us = NowMicros();
-    {
-      std::lock_guard<std::mutex> g(s->mu);
-      s->pending.push_back(std::move(req));
+    if (r != FrameResult::kFrame) {  // poisoned byte stream
+      frames_rejected_.fetch_add(1);
+      sessions_dropped_.fetch_add(1);
+      return false;
     }
-    queued_any = true;
+    if (!Execute(s, op, payload, payload_len)) return false;
     off += frame_len;
   }
-  if (off > 0) s->in.erase(s->in.begin(), s->in.begin() + static_cast<long>(off));
-  if (queued_any) EnqueueSession(s);
+  s->in.erase(s->in.begin(), s->in.begin() + static_cast<long>(off));
   return true;
 }
 
-void NetServer::EnqueueSession(const SessionPtr& s) {
-  {
-    std::lock_guard<std::mutex> g(s->mu);
-    if (s->queued || s->pending.empty()) return;
-    s->queued = true;
-  }
-  std::lock_guard<std::mutex> g(queue_mu_);
-  work_queue_.push_back(s);
-  queue_cv_.notify_one();
-}
-
-void NetServer::WorkerMain() {
-  for (;;) {
-    SessionPtr s;
-    {
-      std::unique_lock<std::mutex> l(queue_mu_);
-      queue_cv_.wait(l, [&] { return stop_.load() || !work_queue_.empty(); });
-      if (work_queue_.empty()) {
-        if (stop_.load()) return;
-        continue;
-      }
-      s = std::move(work_queue_.front());
-      work_queue_.pop_front();
-    }
-    // This worker exclusively owns the session until it clears `queued`:
-    // requests execute in order, never concurrently.
-    for (;;) {
-      Request req;
-      {
-        std::lock_guard<std::mutex> g(s->mu);
-        if (s->pending.empty()) {
-          s->queued = false;
-          break;
-        }
-        req = std::move(s->pending.front());
-        s->pending.pop_front();
-      }
-      if (s->closed.load()) continue;  // drain without executing
-      Execute(s, req);
-    }
-    if (stop_.load()) {
-      std::lock_guard<std::mutex> g(queue_mu_);
-      if (work_queue_.empty()) return;
-    }
-  }
-}
-
-void NetServer::Execute(const SessionPtr& s, const Request& req) {
+bool NetServer::Execute(Session* s, uint8_t op, const uint8_t* payload,
+                        size_t len) {
+  const int64_t parsed_us = NowMicros();
   // Injected session fault (tests): the session drops abruptly —
   // exactly what a server-side failure mid-request looks like to the
   // client — while the rest of the server keeps serving.
-  Status fault = failpoint::Check("net:session:request");
-  if (!fault.ok()) {
+  if (!failpoint::Check("net:session:request").ok()) {
     sessions_dropped_.fetch_add(1);
-    RequestClose(s);
-    return;
+    return false;
   }
 
-  PayloadReader r(req.payload.data(), req.payload.size());
+  PayloadReader r(payload, len);
   Status st = Status::Ok();
   std::vector<uint8_t> body;
-  switch (static_cast<Op>(req.op)) {
+  switch (static_cast<Op>(op)) {
     case Op::kPing:
       break;
     case Op::kBegin:
@@ -357,10 +268,10 @@ void NetServer::Execute(const SessionPtr& s, const Request& req) {
       }
       break;
     case Op::kRead:
-      st = DoRead(s.get(), &r, &body);
+      st = DoRead(s, &r, &body);
       break;
     case Op::kUpdate:
-      st = DoUpdate(s.get(), &r);
+      st = DoUpdate(s, &r);
       break;
     case Op::kTraverse:
       st = DoTraverse(&r);
@@ -382,15 +293,19 @@ void NetServer::Execute(const SessionPtr& s, const Request& req) {
     }
     default:
       st = Status::InvalidArgument("unknown opcode " +
-                                   std::to_string(req.op));
+                                   std::to_string(op));
       break;
   }
   requests_served_.fetch_add(1);
+  std::vector<uint8_t> reply;
+  reply.reserve(body.size() + 16);
+  EncodeStatus(&reply, st);
+  reply.insert(reply.end(), body.begin(), body.end());
+  AppendFrame(&s->out, op | kReplyBit, reply);
   if (opts_.throttle != nullptr) {
-    opts_.throttle->Record(
-        MicrosToMillis(NowMicros() - req.arrival_us));
+    opts_.throttle->Record(MicrosToMillis(NowMicros() - parsed_us));
   }
-  SendReply(s, req.op, st, body);
+  return true;
 }
 
 Status NetServer::DoRead(Session* s, PayloadReader* r,
@@ -503,22 +418,7 @@ Status NetServer::DoListRoots(PayloadReader* r, std::vector<uint8_t>* body) {
   return Status::Ok();
 }
 
-void NetServer::SendReply(const SessionPtr& s, uint8_t op, const Status& st,
-                          const std::vector<uint8_t>& body) {
-  if (s->closed.load()) return;
-  std::vector<uint8_t> payload;
-  payload.reserve(body.size() + 16);
-  EncodeStatus(&payload, st);
-  payload.insert(payload.end(), body.begin(), body.end());
-  {
-    std::lock_guard<std::mutex> g(s->out_mu);
-    AppendFrame(&s->out, op | kReplyBit, payload);
-  }
-  FlushOut(s);
-}
-
-void NetServer::FlushOut(const SessionPtr& s) {
-  std::lock_guard<std::mutex> g(s->out_mu);
+bool NetServer::FlushOut(Session* s) {
   while (s->out_off < s->out.size()) {
     // MSG_NOSIGNAL: a peer that vanished mid-response yields EPIPE, not
     // a process-killing SIGPIPE.
@@ -528,56 +428,38 @@ void NetServer::FlushOut(const SessionPtr& s) {
       s->out_off += static_cast<size_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!s->want_write) {
-        s->want_write = true;
-        UpdateEpollInterest(s, true);
-      }
-      return;
-    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
     if (n < 0 && errno == EINTR) continue;
-    RequestClose(s);  // EPIPE / ECONNRESET: the one session dies, not us
-    return;
+    return false;  // EPIPE / ECONNRESET: the one session dies, not us
   }
   s->out.clear();
   s->out_off = 0;
-  if (s->want_write) {
-    s->want_write = false;
-    UpdateEpollInterest(s, false);
-  }
+  return true;
 }
 
-void NetServer::UpdateEpollInterest(const SessionPtr& s, bool want_write) {
-  if (epoll_fd_ < 0) return;
+void NetServer::Arm(Session* s, uint32_t events) {
+  // Registered afresh (DEL, then ADD) rather than re-armed with
+  // EPOLL_CTL_MOD: ThreadSanitizer treats ADD, not MOD, as a release that
+  // the next epoll_wait acquires, so only this way does it see the next
+  // owner's turn, and that owner's close of the fd, ordered after this
+  // one. It costs about 1 us a turn. DEL fails harmlessly on a session
+  // not yet registered.
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, s->fd, nullptr);
   epoll_event ev{};
-  ev.events = EPOLLIN | (want_write ? static_cast<uint32_t>(EPOLLOUT) : 0u);
-  ev.data.u64 = s->id;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, s->fd, &ev);
+  ev.events = events | EPOLLONESHOT;
+  ev.data.ptr = s;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, s->fd, &ev) != 0) Close(s);
 }
 
-void NetServer::RequestClose(const SessionPtr& s) {
-  if (s->closed.exchange(true)) return;
-  {
-    std::lock_guard<std::mutex> g(dying_mu_);
-    dying_.push_back(s->id);
-  }
-  WakeEpoll();
-}
-
-void NetServer::CloseFromEpoll(uint64_t id) {
-  SessionPtr s;
+void NetServer::Close(Session* s) {
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, s->fd, nullptr);
+  decltype(sessions_)::node_type dead;
   {
     std::lock_guard<std::mutex> g(sessions_mu_);
-    auto it = sessions_.find(id);
-    if (it == sessions_.end()) return;
-    s = std::move(it->second);
-    sessions_.erase(it);
+    dead = sessions_.extract(s);
   }
-  s->closed.store(true);
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, s->fd, nullptr);
-  // The fd stays open until the last SessionPtr drops (an in-flight
-  // worker may still hold one); ~Session aborts the open transaction
-  // and closes it.
+  // dead goes out of scope here, outside the table mutex: ~Session
+  // aborts the open transaction and closes the fd.
 }
 
 }  // namespace net

@@ -2,9 +2,7 @@
 #define BRAHMA_NET_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -24,19 +22,21 @@ namespace net {
 struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; the bound port is port() after Start
-  // Request-execution worker threads. The epoll thread only moves bytes
-  // and parses frames; every Database op runs on a worker.
+  // Session threads. Each one waits on the shared epoll set and serves
+  // the session it wakes for: reads its requests, runs every Database
+  // op and writes the replies. A request arriving while all of them are
+  // busy waits in its socket's kernel buffer.
   uint32_t num_workers = 4;
-  int listen_backlog = 1024;
   // Enables kTraverse / kListRoots: the built Section 5.2 graph and the
   // workload parameters traverse transactions use (payload size etc.).
   // Both must outlive the server.
   const BuiltGraph* graph = nullptr;
   WorkloadParams workload;
-  // When set, every completed request's latency (arrival at the session
-  // layer to response enqueue, queue wait included) feeds this throttle,
-  // and a reorganization run with IraOptions::throttle pointing at the
-  // same object is shed/paced to keep the user p99 inside its SLO. Must
+  // When set, every completed request's latency (frame parse to reply
+  // write; the wait for a free thread sits in the kernel socket buffer
+  // before that and is not included) feeds this throttle, and a
+  // reorganization run with IraOptions::throttle pointing at the same
+  // object is shed/paced to keep the user p99 inside its SLO. Must
   // outlive the server.
   ReorgThrottle* throttle = nullptr;
 };
@@ -44,18 +44,19 @@ struct ServerOptions {
 // The networked object server (DESIGN.md §14): a socket front end
 // exposing read/update/traverse/begin/commit/abort over the CRC'd
 // length-prefixed wire protocol of net/wire.h, multiplexing thousands
-// of concurrent non-blocking connections onto one epoll thread and a
-// small worker pool driving the shared Database.
+// of concurrent non-blocking connections onto num_workers threads that
+// share one epoll set (leader/followers) and drive the shared Database.
 //
 // Session model: each connection owns at most one open Transaction
-// (kBegin..kCommit/kAbort). Requests of one session execute in arrival
-// order and never concurrently — a session is handed to exactly one
-// worker at a time — so the non-thread-safe Transaction is safe. A
-// disconnect (graceful FIN, RST, or a kill -9'd client) aborts the open
-// transaction, releasing its locks; the remaining sessions keep being
-// served. SIGPIPE is ignored process-wide at Start (and every send also
-// passes MSG_NOSIGNAL): a client vanishing mid-response costs one
-// session, never the process.
+// (kBegin..kCommit/kAbort). Sessions are registered EPOLLONESHOT, so
+// the thread that receives a session's event owns it until it re-arms
+// it: requests of one session execute in arrival order and never
+// concurrently, which makes the non-thread-safe Transaction safe. A
+// disconnect (graceful FIN, RST, or a kill -9'd client) is closed by
+// the owning thread, which aborts the open transaction, releasing its
+// locks; the remaining sessions keep being served. SIGPIPE is ignored
+// process-wide at Start (and every send also passes MSG_NOSIGNAL): a
+// client vanishing mid-response costs one session, never the process.
 class NetServer {
  public:
   explicit NetServer(Database* db, const ServerOptions& options);
@@ -64,10 +65,11 @@ class NetServer {
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
-  // Binds, listens, spawns the epoll thread and the worker pool.
+  // Binds, listens and spawns the session threads.
   Status Start();
-  // Drains and joins everything; open sessions are torn down (their
-  // transactions aborted). Idempotent.
+  // Wakes and joins every thread (one blocked in a lock wait returns at
+  // its timeout); open sessions are torn down (their transactions
+  // aborted). Idempotent.
   void Stop();
 
   uint16_t port() const { return port_; }
@@ -80,62 +82,40 @@ class NetServer {
   uint64_t sessions_dropped() const { return sessions_dropped_.load(); }
 
  private:
-  struct Request {
-    uint8_t op;
-    std::vector<uint8_t> payload;
-    int64_t arrival_us;
-  };
-
-  // One client connection. Byte buffers are touched only by the epoll
-  // thread (in_) or under out_mu (out_); txn and the pending queue's
-  // consumer side belong to the single worker that holds the session
-  // (guarded by the queued flag under mu).
+  // One client connection. Only the thread that holds its EPOLLONESHOT
+  // event touches it.
   struct Session {
-    explicit Session(uint64_t id_in, int fd_in) : id(id_in), fd(fd_in) {}
+    explicit Session(int fd_in) : fd(fd_in) {}
     ~Session();
 
-    const uint64_t id;
     const int fd;
-    std::vector<uint8_t> in;  // epoll thread only
-
-    std::mutex mu;
-    std::deque<Request> pending;
-    bool queued = false;  // handed to / queued for a worker
-
-    std::mutex out_mu;
-    std::vector<uint8_t> out;
-    size_t out_off = 0;
-    bool want_write = false;  // EPOLLOUT armed (guarded by out_mu)
-
-    std::atomic<bool> closed{false};
-    std::unique_ptr<Transaction> txn;  // owning worker only
+    std::vector<uint8_t> in;   // received bytes not yet executed
+    std::vector<uint8_t> out;  // reply bytes not yet sent
+    size_t out_off = 0;        // first unsent byte of out
+    std::unique_ptr<Transaction> txn;
   };
-  using SessionPtr = std::shared_ptr<Session>;
 
-  void EpollMain();
   void WorkerMain();
   void AcceptReady();
-  void ReadReady(const SessionPtr& s);
-  // Parses complete frames out of s->in, queueing requests; false when
-  // the byte stream is poisoned (bad CRC/version/length) and the
-  // session must drop.
-  bool DrainFrames(const SessionPtr& s);
-  void EnqueueSession(const SessionPtr& s);
-  // Serializes one reply frame onto the session's output and flushes.
-  void SendReply(const SessionPtr& s, uint8_t op, const Status& st,
-                 const std::vector<uint8_t>& body);
-  // Pushes buffered output to the socket (worker or epoll thread).
-  void FlushOut(const SessionPtr& s);
-  void UpdateEpollInterest(const SessionPtr& s, bool want_write);
-  // Worker-side close request: the epoll thread unregisters and drops
-  // the map reference; the last SessionPtr release aborts the txn and
-  // closes the fd.
-  void RequestClose(const SessionPtr& s);
-  void CloseFromEpoll(uint64_t id);
-  void WakeEpoll();
+  // One turn of the owning thread: sends backlogged replies, executes
+  // buffered frames, reads once, and re-arms or closes the session.
+  void Serve(Session* s, uint32_t events);
+  // Executes the complete frames buffered in s->in, in order, until the
+  // reply batch is full; false when the session must close (poisoned
+  // byte stream or injected session fault).
+  bool ExecuteFrames(Session* s);
+  // False when the session must close (send failure).
+  bool FlushOut(Session* s);
+  // Registers the session for one event and gives up ownership; closes
+  // it if epoll refuses.
+  void Arm(Session* s, uint32_t events);
+  // Unregisters and destroys the session on its owning thread;
+  // ~Session aborts the open transaction and closes the fd.
+  void Close(Session* s);
 
-  // Executes one request, appending the reply. Runs on a worker.
-  void Execute(const SessionPtr& s, const Request& req);
+  // Executes one request, appending its reply to s->out; false when an
+  // injected fault drops the session instead.
+  bool Execute(Session* s, uint8_t op, const uint8_t* payload, size_t len);
   Status DoRead(Session* s, PayloadReader* r, std::vector<uint8_t>* body);
   Status DoUpdate(Session* s, PayloadReader* r);
   Status DoTraverse(PayloadReader* r);
@@ -145,25 +125,18 @@ class NetServer {
   ServerOptions opts_;
   uint16_t port_ = 0;
 
+  // The addresses of listen_fd_ and wake_fd_ tag their epoll events;
+  // every other event carries its Session*.
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: Stop and worker close-requests
+  int wake_fd_ = -1;  // eventfd: Stop signals it and never drains it
   std::atomic<bool> stop_{false};
   bool started_ = false;
 
-  std::thread epoll_thread_;
   std::vector<std::thread> workers_;
 
   mutable std::mutex sessions_mu_;
-  std::unordered_map<uint64_t, SessionPtr> sessions_;
-  uint64_t next_session_id_ = 1;
-
-  std::mutex dying_mu_;
-  std::vector<uint64_t> dying_;  // ids workers asked the epoll thread to drop
-
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<SessionPtr> work_queue_;
+  std::unordered_map<Session*, std::unique_ptr<Session>> sessions_;
 
   std::atomic<uint64_t> sessions_accepted_{0};
   std::atomic<uint64_t> requests_served_{0};

@@ -96,15 +96,6 @@ void LockManager::DeregisterWaiter(TxnId txn) {
   waiting_.erase(txn);
 }
 
-bool LockManager::WaitDieShouldDie(const LockEntry& entry,
-                                   const Request& mine) const {
-  for (const Request& r : entry.queue) {
-    if (r.txn == mine.txn || !r.has_held) continue;
-    if (!Compatible(r.held, mine.want) && mine.txn > r.txn) return true;
-  }
-  return false;
-}
-
 void LockManager::RunDetection(TxnId self) {
   // A pass already in flight is scanning the same registry; rather than
   // convoy behind it, give up and retry next grace slice.
@@ -275,8 +266,7 @@ Status LockManager::Acquire(TxnId txn, ObjectId oid, LockMode mode,
     return Status::Ok();
   }
 
-  const DeadlockPolicy policy = deadlock_policy();
-  const bool detect = policy == DeadlockPolicy::kDetect;
+  const bool detect = deadlock_policy() == DeadlockPolicy::kDetect;
   if (detect) RegisterWaiter(txn, oid, profile);  // graph_mu_ is a leaf
 
   const auto start = std::chrono::steady_clock::now();
@@ -293,11 +283,10 @@ Status LockManager::Acquire(TxnId txn, ObjectId oid, LockMode mode,
     }
     if (!mine->waiting) break;  // granted
     auto now = std::chrono::steady_clock::now();
-    if (mine->victim || (policy == DeadlockPolicy::kWaitDie &&
-                         WaitDieShouldDie(*entry, *mine))) {
-      // Cancelled to break a cycle (graph detector / upgrade fast-fail)
-      // or died under wait-die. Withdraw — held locks intact — and let
-      // the caller abort and retry without burning the timeout.
+    if (mine->victim) {
+      // Cancelled to break a cycle (graph detector / upgrade fast-fail).
+      // Withdraw — held locks intact — and let the caller abort and
+      // retry without burning the timeout.
       if (detect) DeregisterWaiter(txn);
       victims_aborted_.fetch_add(1);
       if (!mine->profile.reorg) user_victims_.fetch_add(1);

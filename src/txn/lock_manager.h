@@ -82,11 +82,10 @@ class LockManager {
     return deadlock_policy_.load(std::memory_order_relaxed);
   }
 
-  // Waits-for cycles broken (graph detection and upgrade fast-fail; not
-  // wait-die deaths, which kill without evidence of a cycle).
+  // Waits-for cycles broken (graph detection and upgrade fast-fail).
   uint64_t deadlocks_detected() const { return deadlocks_detected_.load(); }
   // Acquires cancelled with Status::DeadlockVictim, however chosen
-  // (detector, fast-fail, wait-die), and the subset whose profile was a
+  // (detector or fast-fail), and the subset whose profile was a
   // user transaction (tests assert this stays 0 when a reorg txn was
   // available in every cycle).
   uint64_t victims_aborted() const { return victims_aborted_.load(); }
@@ -187,8 +186,8 @@ class LockManager {
 
   // Removes txn's pending request from entry — an upgrade reverts to its
   // originally held mode, a fresh request is erased — then re-grants and
-  // prunes the entry if empty. The single exit path shared by timeout,
-  // deadlock-victim and wait-die cancellation, so none of them can leave
+  // prunes the entry if empty. The single exit path shared by timeout
+  // and deadlock-victim cancellation, so neither can leave
   // a strengthened waiter or an empty entry behind. Caller holds the
   // shard mutex.
   void WithdrawRequest(Shard& shard, LockEntry* entry, ObjectId oid,
@@ -206,12 +205,6 @@ class LockManager {
   // slice). Lock order: detector_mu_ -> one shard.mu at a time ->
   // graph_mu_.
   void RunDetection(TxnId self);
-
-  // Wait-die: may `mine` keep waiting? Dies (returns true) when younger
-  // (larger TxnId) than any incompatible holder. Re-evaluated on every
-  // wakeup, not just at block time, so grant reshuffles cannot leave a
-  // young-waits-for-old edge in place. Caller holds the shard mutex.
-  bool WaitDieShouldDie(const LockEntry& entry, const Request& mine) const;
 
   std::vector<Shard> shards_;
   bool history_enabled_ = false;

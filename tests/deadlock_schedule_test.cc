@@ -1,7 +1,7 @@
 // Deterministic deadlock-schedule harness (DESIGN.md §10).
 //
 // The LockManager-level tests build exact waits-for cycles — two-txn,
-// three-txn, upgrade, mixed user/reorg, wait-die, all-exempt — and
+// three-txn, upgrade, mixed user/reorg, all-exempt — and
 // assert who the victim is, that resolution happens in milliseconds
 // rather than by burning the lock-wait timeout, and that the loser's
 // held locks and the lock table are intact afterwards. The DB-level test
@@ -233,28 +233,6 @@ TEST(DeadlockScheduleTest, UpgradeCycleFastFails) {
   lm.Release(2, kA);
   t1.join();
   EXPECT_EQ(lm.user_victims(), 0u);
-  EXPECT_EQ(lm.NumLockedObjects(), 0u);
-}
-
-// Wait-die ablation: the younger transaction dies the moment it would
-// wait on an older incompatible holder — no cycle needed, no detection
-// counted, timeout untouched.
-TEST(DeadlockScheduleTest, WaitDieYoungerDiesInstantly) {
-  LockManager lm;
-  lm.set_deadlock_policy(DeadlockPolicy::kWaitDie);
-  ASSERT_TRUE(lm.Acquire(1, kA, LockMode::kExclusive, 100ms, User()).ok());
-  const auto start = std::chrono::steady_clock::now();
-  Status s = lm.Acquire(2, kA, LockMode::kExclusive, 5000ms, User());
-  EXPECT_TRUE(s.IsDeadlockVictim()) << s.ToString();
-#ifndef BRAHMA_TEST_TSAN
-  EXPECT_LT(ElapsedMs(start), 100);
-#endif
-  EXPECT_EQ(lm.victims_aborted(), 1u);
-  EXPECT_EQ(lm.deadlocks_detected(), 0u);  // died on suspicion, not a cycle
-  // The older transaction may wait (and here, be granted) as usual.
-  lm.Release(1, kA);
-  EXPECT_TRUE(lm.Acquire(1, kA, LockMode::kShared, 100ms, User()).ok());
-  lm.Release(1, kA);
   EXPECT_EQ(lm.NumLockedObjects(), 0u);
 }
 

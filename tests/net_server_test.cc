@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
+#include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -71,13 +73,15 @@ struct ServerHarness {
 };
 
 // Sends an RST on close instead of a FIN — the socket-level equivalent
-// of the peer process being killed -9 mid-exchange.
-void HardClose(int fd) {
+// of the peer process being killed -9 mid-exchange. The fd is closed
+// once, by the client: the server's accepted sockets live in this
+// process too, so a second close() could hit one that reused the number.
+void HardClose(NetClient* c) {
   struct linger lg;
   lg.l_onoff = 1;
   lg.l_linger = 0;
-  setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
-  close(fd);
+  setsockopt(c->fd(), SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+  c->Close();
 }
 
 bool WaitFor(const std::function<bool()>& pred, int timeout_ms = 5000) {
@@ -235,11 +239,7 @@ TEST(NetServerTest, ClientHardCloseMidExchangeServerSurvives) {
       ASSERT_EQ(send(victim.fd(), frame.data(), frame.size(), MSG_NOSIGNAL),
                 static_cast<ssize_t>(frame.size()));
     }
-    HardClose(victim.fd());
-    // NetClient's destructor would close() again; detach it.
-    // (Close() on an already-closed fd is harmless but avoid EBADF races
-    // with other tests' fds.)
-    victim.Close();
+    HardClose(&victim);
   }
 
   // The surviving session still gets answers, and the dead sessions are
@@ -278,12 +278,11 @@ TEST(NetServerTest, DisconnectReleasesLocks) {
   NetClient locker = h.MakeClient();
   ASSERT_TRUE(locker.Begin(nullptr).ok());
   ASSERT_TRUE(locker.Update(contested, payload).ok());  // X lock held
-  HardClose(locker.fd());
-  locker.Close();
+  HardClose(&locker);
 
   NetClient writer = h.MakeClient();
-  // The abort happens when the epoll thread notices the RST and the last
-  // session reference drops; retry across lock timeouts until then.
+  // The abort happens when a session thread receives the RST event and
+  // closes the session; retry across lock timeouts until then.
   Status st;
   ASSERT_TRUE(WaitFor([&] {
     st = writer.Begin(nullptr);
@@ -293,6 +292,185 @@ TEST(NetServerTest, DisconnectReleasesLocks) {
     return st.ok() && fin.ok();
   })) << st.ToString();
   writer.Close();
+}
+
+// A session blocked in a lock wait holds one session thread, not the
+// server: with two threads, a third session is answered while the
+// second waits on the first's exclusive lock.
+TEST(NetServerTest, LockWaitLeavesOtherSessionsServed) {
+  ServerHarness h;  // num_workers = 2, 200 ms lock timeout
+  const ObjectId contested = h.graph.cluster_roots[0][0];
+  std::vector<uint8_t> payload(h.params.data_size, 0x22);
+  NetClient holder = h.MakeClient();
+  NetClient waiter = h.MakeClient();
+  NetClient pinger = h.MakeClient();
+  ASSERT_TRUE(pinger.Ping().ok());
+  ASSERT_TRUE(holder.Begin(nullptr).ok());
+  ASSERT_TRUE(holder.Update(contested, payload).ok());  // X lock held
+  ASSERT_TRUE(waiter.Begin(nullptr).ok());
+
+  std::atomic<bool> waiter_done{false};
+  Status waited;
+  std::thread t([&] {
+    waited = waiter.Update(contested, payload);
+    waiter_done.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(pinger.Ping().ok());
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  // Answered while the waiter still waits, well inside its timeout.
+  EXPECT_FALSE(waiter_done.load());
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100));
+  t.join();
+  EXPECT_TRUE(waited.IsTimedOut() || waited.IsDeadlockVictim())
+      << waited.ToString();
+  EXPECT_TRUE(waiter.Abort().ok());
+  EXPECT_TRUE(holder.Commit().ok());
+  holder.Close();
+  waiter.Close();
+  pinger.Close();
+}
+
+// A client that pipelines requests and reads no reply fills its reply
+// path (server send buffer, its own receive buffer); the server must
+// then stop reading that session instead of buffering its replies
+// without bound, keep serving other sessions, and, once the client
+// reads, deliver every reply in order.
+TEST(NetServerTest, StalledReaderIsBackpressuredAndGetsEveryReplyInOrder) {
+  ServerHarness h;
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  // Small client buffers, set before connect, keep the bytes in flight
+  // (and the test) small.
+  const int small = 16 * 1024;
+  setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(h.server->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  // Every 64th request is a Stats, whose requests_served must rise
+  // strictly from reply to reply if replies come back in order. Both
+  // request kinds have empty payloads, so every frame is
+  // kFrameHeaderSize bytes.
+  auto op_of = [](uint64_t i) {
+    return static_cast<uint8_t>(i % 64 == 63 ? net::Op::kStats
+                                             : net::Op::kPing);
+  };
+  std::vector<uint8_t> chunk;
+  constexpr uint64_t kChunkFrames = 4096;  // a multiple of 64
+  for (uint64_t i = 0; i < kChunkFrames; ++i) {
+    net::AppendFrame(&chunk, op_of(i), nullptr, 0);
+  }
+  ASSERT_EQ(chunk.size(), kChunkFrames * net::kFrameHeaderSize);
+
+  // 96 chunks: 3.75 MiB of requests whose replies (5.9 MiB) overfill
+  // the reply path even at the largest default TCP send buffer (4 MiB).
+  // Send until everything is out or the socket stays full for 300 ms,
+  // which happens once the server stops reading.
+  constexpr uint64_t kChunks = 96;
+  const uint64_t frames = kChunks * kChunkFrames;
+  const uint64_t total = frames * net::kFrameHeaderSize;
+  uint64_t sent = 0;
+  while (sent < total) {
+    const size_t at = sent % chunk.size();
+    const ssize_t n = send(fd, chunk.data() + at, chunk.size() - at,
+                           MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      sent += static_cast<uint64_t>(n);
+      continue;
+    }
+    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
+    pollfd p{fd, POLLOUT, 0};
+    if (poll(&p, 1, 300) == 0) break;
+  }
+  // Another session is served while the first is stalled.
+  NetClient other = h.MakeClient();
+  EXPECT_TRUE(other.Ping().ok());
+  other.Close();
+
+  // Send the rest while reading every reply.
+  std::vector<uint8_t> in;
+  uint64_t replies = 0;
+  uint64_t last_served = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (replies < frames && std::chrono::steady_clock::now() < deadline) {
+    pollfd p{fd, static_cast<short>(POLLIN | (sent < total ? POLLOUT : 0)),
+             0};
+    poll(&p, 1, 100);
+    if (sent < total) {
+      const size_t at = sent % chunk.size();
+      const ssize_t n = send(fd, chunk.data() + at, chunk.size() - at,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n > 0) sent += static_cast<uint64_t>(n);
+    }
+    uint8_t buf[64 * 1024];
+    const ssize_t n = recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n <= 0) {
+      ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+          << "connection lost after " << replies << " replies";
+      continue;
+    }
+    in.insert(in.end(), buf, buf + n);
+    size_t off = 0;
+    for (;;) {
+      uint8_t op;
+      const uint8_t* payload;
+      uint32_t len;
+      size_t frame_len;
+      const net::FrameResult r = net::ParseFrame(
+          in.data() + off, in.size() - off, &op, &payload, &len, &frame_len);
+      if (r == net::FrameResult::kNeedMore) break;
+      ASSERT_EQ(r, net::FrameResult::kFrame);
+      ASSERT_EQ(op, op_of(replies) | net::kReplyBit) << "reply " << replies;
+      net::PayloadReader pr(payload, len);
+      Status st;
+      ASSERT_TRUE(net::DecodeStatus(&pr, &st));
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      if (op_of(replies) == static_cast<uint8_t>(net::Op::kStats)) {
+        ServerStatsReply stats;
+        ASSERT_TRUE(net::DecodeServerStats(&pr, &stats));
+        EXPECT_GT(stats.requests_served, last_served);
+        last_served = stats.requests_served;
+      }
+      ++replies;
+      off += frame_len;
+    }
+    in.erase(in.begin(), in.begin() + static_cast<long>(off));
+  }
+  EXPECT_EQ(replies, frames);
+  EXPECT_GT(last_served, 0u);
+  close(fd);
+}
+
+// Stop while a session waits on a lock: Stop returns (the waiting thread
+// leaves at its lock timeout), and every open transaction is aborted,
+// so no lock survives the server.
+TEST(NetServerTest, StopDuringLockWaitAbortsOpenTransactions) {
+  ServerHarness h;  // 200 ms lock timeout
+  const ObjectId contested = h.graph.cluster_roots[0][0];
+  std::vector<uint8_t> payload(h.params.data_size, 0x33);
+  NetClient holder = h.MakeClient();
+  NetClient waiter = h.MakeClient();
+  ASSERT_TRUE(holder.Begin(nullptr).ok());
+  ASSERT_TRUE(holder.Update(contested, payload).ok());
+  ASSERT_TRUE(waiter.Begin(nullptr).ok());
+  std::thread t([&] { (void)waiter.Update(contested, payload); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_GT(h.db.locks().NumLockedObjects(), 0u);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  h.server->Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  t.join();
+  EXPECT_EQ(h.db.locks().NumLockedObjects(), 0u);
+  EXPECT_EQ(h.server->active_sessions(), 0u);
+  holder.Close();
+  waiter.Close();
 }
 
 // N client threads hammer traverses while a parallel IRA migrates the
