@@ -7,14 +7,19 @@
 // latchfree_reads on, readers never touch the lock manager: they pin an
 // epoch, chase the relocation table past in-flight migrations, and
 // snapshot under the per-object latch only. Read-only commits pay no log
-// force, so the rows measure the read path itself: both modes hold flat
-// from 1 through 8 workers and the latch-free path is ~2x faster
-// (EXPERIMENTS.md).
+// force, so the rows measure the read path itself (EXPERIMENTS.md).
+//
+// The readers are closed loops that never sleep, so each row runs
+// nproc - workers of them (at least one): together with the IRA workers
+// they fit the cores, and reorg_ms measures migration cost rather than
+// how much CPU the readers left over. read_tps_per_reader compares rows
+// with different reader counts.
 //
 // Emits BENCH_latchfree_reads.json in the working directory.
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -24,9 +29,14 @@ namespace brahma {
 namespace bench {
 namespace {
 
+// Closed-loop readers that fit the cores beside `workers` IRA workers.
+uint32_t ReadersBeside(uint32_t workers) {
+  const uint32_t cores = std::max(1u, std::thread::hardware_concurrency());
+  return workers < cores ? cores - workers : 1;
+}
+
 void Run() {
   std::vector<uint32_t> workers = {1, 2, 8};
-  uint32_t mpl = 8;
   // Fixed measurement window containing one complete reorganization: the
   // sweep variable (workers) must not change the window's composition,
   // or user-side tps compares a mostly-quiet long run against a
@@ -38,21 +48,20 @@ void Run() {
   base.update_prob = 0.0;  // pure readers: the path under test
   if (SmokeMode()) {
     workers = {1, 4};
-    mpl = 4;
     base.num_partitions = 3;
     base.objects_per_partition = 85 * 4;
     window_s = 2.0;
   } else if (FullMode()) {
     workers = {1, 2, 4, 8, 16};
-    mpl = 30;
     window_s = 30.0;
   }
 
   std::printf("# Latch-free reads — reader tps/p99 vs reorg workers, "
               "locked baseline vs epoch-protected zero-lock path\n");
   PrintSeriesHeader("latchfree",
-                    {"workers", "read_tps", "read_p99_ms", "reorg_ms",
-                     "lf_reads", "epoch_advances", "retire_drains"});
+                    {"workers", "readers", "read_tps", "read_p99_ms",
+                     "reorg_ms", "lf_reads", "epoch_advances",
+                     "retire_drains"});
   JsonBenchWriter json("latchfree_reads");
   // mode 0 = locked baseline (readers queue behind migrations),
   // mode 1 = epoch-protected latch-free read path.
@@ -70,7 +79,7 @@ void Run() {
     for (size_t c = 0; c < configs.size(); ++c) {
       ExperimentConfig cfg;
       cfg.workload = base;
-      cfg.workload.mpl = mpl;
+      cfg.workload.mpl = ReadersBeside(configs[c].second);
       cfg.scenario = Scenario::kIRA;
       cfg.min_duration_s = window_s;
       cfg.ira.num_workers = configs[c].second;
@@ -81,13 +90,15 @@ void Run() {
   for (size_t c = 0; c < configs.size(); ++c) {
     const int lf = configs[c].first;
     const uint32_t w = configs[c].second;
+    const uint32_t mpl = ReadersBeside(w);
     {
       ExperimentResult& r = *std::max_element(
           runs[c].begin(), runs[c].end(),
           [](const ExperimentResult& a, const ExperimentResult& b) {
             return a.driver.throughput_tps() < b.driver.throughput_tps();
           });
-      PrintSeriesRow(lf, {static_cast<double>(w), r.driver.throughput_tps(),
+      PrintSeriesRow(lf, {static_cast<double>(w), static_cast<double>(mpl),
+                          r.driver.throughput_tps(),
                           r.driver.response_ms.Percentile(0.99),
                           r.reorg_duration_ms,
                           static_cast<double>(r.reorg.latchfree_reads),
@@ -98,6 +109,7 @@ void Run() {
       json.Add("workers", w);
       json.Add("mpl", mpl);
       json.Add("read_tps", r.driver.throughput_tps());
+      json.Add("read_tps_per_reader", r.driver.throughput_tps() / mpl);
       json.Add("read_p99_ms", r.driver.response_ms.Percentile(0.99));
       json.Add("read_art_ms", r.driver.response_ms.mean());
       json.Add("reorg_ms", r.reorg_duration_ms);

@@ -1,13 +1,16 @@
 // Microbenchmarks (google-benchmark) for the substrate primitives: the
 // extendible hash index backing the ERT/TRT, object latches, lock
-// manager acquire/release, a locked read-only transaction, partition
-// allocation, WAL append, the group-commit force under a closed loop of
-// committers, and the fuzzy traversal over a paper-scale partition.
+// manager acquire/release, a locked read-only transaction, a transaction
+// holding many locks, partition allocation, WAL append and truncation, the
+// group-commit force under a closed loop of committers, and the fuzzy
+// traversal over a paper-scale partition.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -111,6 +114,50 @@ void BM_TxnReadWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_TxnReadWalk)->ThreadRange(1, 4)->UseRealTime();
 
+// One transaction holding n locks: Begin, n x S lock on distinct objects,
+// a Holds check on each, Commit (which releases them all). Past 32 locks
+// the transaction's held-mode table is a hash map (Transaction::HeldLocks);
+// grouped IRA and PQR transactions hold that many.
+void BM_TxnHeldLocks(benchmark::State& state) {
+  constexpr int kMaxLocks = 1024;
+  struct Fixture {
+    static DatabaseOptions Options() {
+      DatabaseOptions opt;
+      opt.num_data_partitions = 1;
+      opt.partition_capacity = 4 << 20;
+      return opt;
+    }
+    Database db{Options()};
+    std::vector<ObjectId> objects;
+    Fixture() {
+      auto setup = db.Begin();
+      objects.resize(kMaxLocks);
+      for (ObjectId& oid : objects) setup->CreateObject(1, 2, 16, &oid);
+      setup->Commit();
+    }
+  };
+  static Fixture* fx = new Fixture();
+  const int n = static_cast<int>(state.range(0));
+  bool ok = true;
+  for (auto _ : state) {
+    auto txn = fx->db.Begin();
+    for (int i = 0; i < n && ok; ++i) {
+      ok = txn->Lock(fx->objects[i], LockMode::kShared).ok();
+    }
+    for (int i = 0; i < n && ok; ++i) ok = txn->Holds(fx->objects[i]);
+    if (!ok || !txn->Commit().ok()) {
+      state.SkipWithError("held-lock transaction failed");
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_TxnHeldLocks)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_PartitionAllocateFree(benchmark::State& state) {
   Partition part(1, 64 << 20);
   std::vector<uint64_t> offsets;
@@ -140,6 +187,66 @@ void BM_WalAppend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WalAppend);
+
+// Log truncation against a concurrent appender. The log holds 100k
+// update records with payloads, as a retained log does before a
+// truncation; Truncate drops all but the newest 1k while another thread
+// appends in a loop. Each truncation's worst Append is how long Truncate
+// kept the log mutex (plus any preemption); worst_append_us is the median
+// of those over the iterations, worst_append_max_us the largest.
+void BM_WalTruncateWorstAppend(benchmark::State& state) {
+  constexpr Lsn kRecords = 100000;
+  constexpr Lsn kKept = 1000;
+  LogRecord rec;
+  rec.type = LogRecordType::kUpdateData;
+  rec.txn = 1;
+  rec.oid = ObjectId(1, 64);
+  rec.old_data.assign(64, 1);
+  rec.new_data.assign(64, 2);
+  std::vector<double> worst_us;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto log = std::make_unique<LogManager>();
+    for (Lsn i = 0; i < kRecords; ++i) log->Append(rec);
+    std::atomic<int> appended{0};
+    std::atomic<bool> truncating{false};
+    std::atomic<bool> done{false};
+    std::chrono::nanoseconds worst{0};
+    std::thread appender([&] {
+      LogRecord small;
+      small.type = LogRecordType::kSetRef;
+      while (!done.load(std::memory_order_relaxed)) {
+        const bool timed = truncating.load(std::memory_order_relaxed);
+        const auto t0 = std::chrono::steady_clock::now();
+        log->Append(small);
+        if (timed) {
+          worst = std::max<std::chrono::nanoseconds>(
+              worst, std::chrono::steady_clock::now() - t0);
+        }
+        appended.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    // Past the appender's first allocations before anything is timed.
+    while (appended.load() < 1000) std::this_thread::yield();
+    truncating.store(true);
+    state.ResumeTiming();
+    log->Truncate(kRecords - kKept);
+    state.PauseTiming();
+    done.store(true);
+    appender.join();
+    worst_us.push_back(
+        std::chrono::duration<double, std::micro>(worst).count());
+    log.reset();
+    state.ResumeTiming();
+  }
+  std::sort(worst_us.begin(), worst_us.end());
+  state.counters["worst_append_us"] = worst_us[worst_us.size() / 2];
+  state.counters["worst_append_max_us"] = worst_us.back();
+}
+BENCHMARK(BM_WalTruncateWorstAppend)
+    ->Iterations(15)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Baseline for the failpoint-overhead pair: the same loop body with no
 // failpoint site at all.

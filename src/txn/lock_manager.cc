@@ -57,6 +57,17 @@ LockManager::LockEntry* LockManager::EntryFor(Shard& shard, ObjectId oid) {
   return shard.entries.insert(std::move(node)).position->second.get();
 }
 
+void LockManager::NoteEarlyRelease(const Shard& shard, ObjectId oid,
+                                   Lsn* released_at) {
+  if (released_at == nullptr) return;
+  for (const EarlyRelease& e : shard.early) {
+    if (e.oid == oid) {
+      *released_at = std::max(*released_at, e.commit);
+      return;
+    }
+  }
+}
+
 void LockManager::PruneIfEmpty(Shard& shard, EntryMap::iterator it) {
   if (!it->second->queue.empty()) return;
   if (shard.spare.size() < kSpareEntries) {
@@ -183,7 +194,7 @@ void LockManager::RunDetection(TxnId self) {
 
 Status LockManager::Acquire(TxnId txn, ObjectId oid, LockMode mode,
                             std::chrono::milliseconds timeout,
-                            const WaiterProfile& profile) {
+                            const WaiterProfile& profile, Lsn* released_at) {
   // `lock:acquire=timeout` injects persistent contention (every acquire
   // behaves as a deadlock-broken wait); `delay` models a convoy.
   BRAHMA_FAILPOINT("lock:acquire");
@@ -263,6 +274,7 @@ Status LockManager::Acquire(TxnId txn, ObjectId oid, LockMode mode,
   mine = FindRequest(entry, txn);
   if (mine != nullptr && !mine->waiting) {
     if (history_enabled_) shard.history[oid].insert(txn);
+    NoteEarlyRelease(shard, oid, released_at);
     return Status::Ok();
   }
 
@@ -321,12 +333,24 @@ Status LockManager::Acquire(TxnId txn, ObjectId oid, LockMode mode,
   }
   if (detect) DeregisterWaiter(txn);
   if (history_enabled_) shard.history[oid].insert(txn);
+  NoteEarlyRelease(shard, oid, released_at);
   return Status::Ok();
 }
 
-void LockManager::Release(TxnId txn, ObjectId oid) {
+void LockManager::Release(TxnId txn, ObjectId oid, Lsn unstable_commit) {
   Shard& shard = ShardFor(oid);
   std::unique_lock<std::mutex> l(shard.mu);
+  if (unstable_commit != kInvalidLsn) {
+    // Recorded before the request leaves the queue, under the same mutex,
+    // so every grant this release makes possible sees it.
+    auto e = std::find_if(shard.early.begin(), shard.early.end(),
+                          [oid](const EarlyRelease& r) { return r.oid == oid; });
+    if (e == shard.early.end()) {
+      shard.early.push_back(EarlyRelease{oid, unstable_commit});
+    } else {
+      e->commit = std::max(e->commit, unstable_commit);
+    }
+  }
   auto it = shard.entries.find(oid);
   if (it == shard.entries.end()) return;
   LockEntry* entry = it->second.get();
@@ -341,6 +365,22 @@ void LockManager::Release(TxnId txn, ObjectId oid) {
     return;
   }
   if (TryGrant(entry)) entry->cv.notify_all();
+}
+
+void LockManager::ForgetEarlyReleases(const std::vector<ObjectId>& oids,
+                                      Lsn stable) {
+  for (ObjectId oid : oids) {
+    Shard& shard = ShardFor(oid);
+    std::unique_lock<std::mutex> l(shard.mu);
+    for (size_t i = 0; i < shard.early.size(); ++i) {
+      if (shard.early[i].oid != oid) continue;
+      if (shard.early[i].commit <= stable) {
+        shard.early[i] = shard.early.back();
+        shard.early.pop_back();
+      }
+      break;
+    }
+  }
 }
 
 bool LockManager::IsHeld(TxnId txn, ObjectId oid, LockMode* mode) const {
@@ -384,6 +424,7 @@ void LockManager::ClearAllState() {
     std::unique_lock<std::mutex> l(shard.mu);
     shard.entries.clear();
     shard.spare.clear();
+    shard.early.clear();
     shard.history.clear();
   }
   std::lock_guard<std::mutex> g(graph_mu_);

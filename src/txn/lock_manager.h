@@ -59,13 +59,24 @@ class LockManager {
 
   // Blocks until granted or until timeout elapses. `profile` describes
   // the requester for victim selection (defaults to a user transaction
-  // holding nothing).
+  // holding nothing). On a grant, *released_at (if given) is raised to
+  // the commit LSN of the latest early release of oid not yet known
+  // stable (see Release).
   Status Acquire(TxnId txn, ObjectId oid, LockMode mode,
                  std::chrono::milliseconds timeout,
-                 const WaiterProfile& profile = {});
+                 const WaiterProfile& profile = {},
+                 Lsn* released_at = nullptr);
 
-  // Releases txn's lock on oid (no-op if not held).
-  void Release(TxnId txn, ObjectId oid);
+  // Releases txn's lock on oid (no-op if not held). `unstable_commit` is
+  // the releaser's commit LSN when it releases before that commit is
+  // stable (early lock release, DESIGN.md §9): it is recorded against oid
+  // until ForgetEarlyReleases, so a later Acquire can report it.
+  void Release(TxnId txn, ObjectId oid, Lsn unstable_commit = kInvalidLsn);
+
+  // Drops the early-release records of `oids` whose commit LSN is at most
+  // `stable` (a record raised by a later release stays). Called by the
+  // releaser once its commit is stable.
+  void ForgetEarlyReleases(const std::vector<ObjectId>& oids, Lsn stable);
 
   // True iff txn currently holds a lock on oid; *mode receives the mode.
   bool IsHeld(TxnId txn, ObjectId oid, LockMode* mode = nullptr) const;
@@ -133,17 +144,28 @@ class LockManager {
 
   using EntryMap = std::unordered_map<ObjectId, std::unique_ptr<LockEntry>>;
 
+  // An early release (see Release): the object and the releaser's commit
+  // LSN.
+  struct EarlyRelease {
+    ObjectId oid;
+    Lsn commit;
+  };
+
   // One cache line (or more) per shard, so two cores locking objects in
   // different shards never write the same line. An entry whose queue
   // empties is parked in `spare` (map node, entry and queue capacity
   // intact) and handed to the next object that needs one, up to
   // kSpareEntries per shard. An entry is only recycled with an empty
   // queue, and a thread waiting on its cv always has its own request
-  // queued, so a waiter never sees its entry reused under it.
+  // queued, so a waiter never sees its entry reused under it. `early`
+  // holds the shard's early releases whose commits are not yet known
+  // stable: a few, each dropped by its releaser after its force, so a
+  // flat vector scanned on grant.
   struct alignas(64) Shard {
     mutable std::mutex mu;
     EntryMap entries;
     std::vector<EntryMap::node_type> spare;
+    std::vector<EarlyRelease> early;
     std::unordered_map<ObjectId, std::unordered_set<TxnId>> history;
   };
 
@@ -180,6 +202,10 @@ class LockManager {
   // The entry for oid, created (from a spare if one is parked) when the
   // object has none. Caller holds the shard mutex.
   static LockEntry* EntryFor(Shard& shard, ObjectId oid);
+  // Raises *released_at to oid's early-release LSN, if it has one. Caller
+  // holds the shard mutex.
+  static void NoteEarlyRelease(const Shard& shard, ObjectId oid,
+                               Lsn* released_at);
   // Drops oid's entry from the table if its queue is empty, parking it as
   // a spare. Caller holds the shard mutex.
   static void PruneIfEmpty(Shard& shard, EntryMap::iterator it);

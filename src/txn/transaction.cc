@@ -12,8 +12,8 @@ namespace brahma {
 namespace {
 // Up to this many held locks, one flat vector scanned linearly costs a
 // whole transaction no more than a hash map's allocation per entry; the
-// two break even at 24-32 locks (EXPERIMENTS.md). Past it the index
-// keeps lookups O(1).
+// two break even at 24-32 locks (EXPERIMENTS.md). Past it the entries
+// move into a hash map.
 constexpr size_t kHeldLocksScanLimit = 32;
 // First allocation of a transaction's held-lock vector: a user walk's
 // locks fit without regrowing.
@@ -21,56 +21,54 @@ constexpr size_t kHeldLocksInitial = 16;
 }  // namespace
 
 const LockMode* Transaction::HeldLocks::Find(ObjectId oid) const {
-  size_t pos = Position(oid);
-  return pos < entries_.size() ? &entries_[pos].mode : nullptr;
-}
-
-size_t Transaction::HeldLocks::Position(ObjectId oid) const {
-  if (!index_.empty()) {
-    auto it = index_.find(oid);
-    return it != index_.end() ? it->second : entries_.size();
+  if (!large_.empty()) {
+    auto it = large_.find(oid);
+    return it != large_.end() ? &it->second : nullptr;
   }
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].oid == oid) return i;
+  for (const auto& e : small_) {
+    if (e.first == oid) return &e.second;
   }
-  return entries_.size();
+  return nullptr;
 }
 
 bool Transaction::HeldLocks::Set(ObjectId oid, LockMode mode) {
-  size_t pos = Position(oid);
-  if (pos < entries_.size()) {
-    entries_[pos].mode = mode;
-    return false;
+  if (!large_.empty()) {
+    auto [it, inserted] = large_.try_emplace(oid, mode);
+    it->second = mode;
+    return inserted;
   }
-  if (entries_.empty()) entries_.reserve(kHeldLocksInitial);
-  entries_.push_back(Entry{oid, mode});
-  if (!index_.empty()) {
-    index_.emplace(oid, static_cast<uint32_t>(pos));
-  } else if (entries_.size() > kHeldLocksScanLimit) {
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      index_.emplace(entries_[i].oid, static_cast<uint32_t>(i));
+  for (auto& e : small_) {
+    if (e.first == oid) {
+      e.second = mode;
+      return false;
     }
   }
+  if (small_.size() < kHeldLocksScanLimit) {
+    if (small_.empty()) small_.reserve(kHeldLocksInitial);
+    small_.emplace_back(oid, mode);
+    return true;
+  }
+  large_.reserve(2 * kHeldLocksScanLimit);
+  large_.insert(small_.begin(), small_.end());
+  small_.clear();
+  large_.emplace(oid, mode);
   return true;
 }
 
 bool Transaction::HeldLocks::Erase(ObjectId oid) {
-  size_t pos = Position(oid);
-  if (pos == entries_.size()) return false;
-  if (!index_.empty()) {
-    index_.erase(oid);
-    if (pos + 1 < entries_.size()) {
-      index_[entries_.back().oid] = static_cast<uint32_t>(pos);
-    }
+  if (!large_.empty()) return large_.erase(oid) > 0;
+  for (size_t i = 0; i < small_.size(); ++i) {
+    if (small_[i].first != oid) continue;
+    small_[i] = small_.back();
+    small_.pop_back();
+    return true;
   }
-  entries_[pos] = entries_.back();
-  entries_.pop_back();
-  return true;
+  return false;
 }
 
 void Transaction::HeldLocks::Clear() {
-  entries_.clear();
-  index_.clear();
+  small_.clear();
+  large_.clear();
 }
 
 Transaction::~Transaction() {
@@ -93,7 +91,8 @@ Status Transaction::LockWithTimeout(ObjectId oid, LockMode mode,
   if (held != nullptr && (*held == LockMode::kExclusive || *held == mode)) {
     return Status::Ok();
   }
-  Status s = ctx_.locks->Acquire(id_, oid, mode, timeout, VictimProfile());
+  Status s = ctx_.locks->Acquire(id_, oid, mode, timeout, VictimProfile(),
+                                 &read_dep_);
   if (!s.ok()) return s;  // a failed upgrade keeps the S mode it had
   NoteGranted(oid, mode);
   return Status::Ok();
@@ -391,11 +390,9 @@ Status Transaction::Commit() {
   // and restart recovery undoes it from the stable log.
   BRAHMA_FAILPOINT(source_ == LogSource::kReorg ? "txn:reorg-commit:begin"
                                                 : "txn:commit:begin");
-  // A transaction that logged nothing commits without touching the log
-  // (DESIGN.md §9): recovery never saw it, and under strict 2PL every
-  // byte it read under a lock was already stable when the writer released
-  // that lock, so there is nothing for a commit record or a force to make
-  // durable.
+  // The commit LSN of a reorganizer that releases its locks before its
+  // force (DESIGN.md §9, "Early lock release").
+  Lsn early_release = kInvalidLsn;
   if (last_lsn_ != kInvalidLsn) {
     LogRecord rec;
     rec.type = LogRecordType::kCommit;
@@ -406,20 +403,55 @@ Status Transaction::Commit() {
     BRAHMA_FAILPOINT(source_ == LogSource::kReorg
                          ? "txn:reorg-commit:before-flush"
                          : "txn:commit:before-flush");
-    // Group-commit force: may batch with concurrent committers, aligned
-    // on how long this transaction worked before asking. A crash
-    // injected between the device force and the durability acknowledgement
-    // propagates here — the transaction is NOT committed (recovery decides
-    // its fate from the stable log) and the caller abandons it.
-    Status fs = ctx_.log->ForceCommit(
-        lsn, std::chrono::steady_clock::now() - begun_);
+    if (source_ == LogSource::kReorg) {
+      early_release = lsn;
+    } else {
+      // Group-commit force: may batch with concurrent committers, aligned
+      // on how long this transaction worked before asking. A crash
+      // injected between the device force and the durability
+      // acknowledgement propagates here — the transaction is NOT
+      // committed (recovery decides its fate from the stable log) and the
+      // caller abandons it.
+      Status fs = ctx_.log->ForceCommit(
+          lsn, std::chrono::steady_clock::now() - begun_);
+      if (!fs.ok()) return fs;
+    }
+  } else if (read_dep_ != kInvalidLsn) {
+    // Logged nothing, but locked an object a reorganizer released before
+    // its commit was stable: what this transaction read is durable only
+    // once that commit is. Usually it already is, and this returns at
+    // once. A rider: its next transaction rarely has a force to wait
+    // for, so no batch should hold for it to come back.
+    Status fs = ctx_.log->ForceCommit(read_dep_, {}, /*rider=*/true);
     if (!fs.ok()) return fs;
   }
   state_ = State::kCommitted;
   // Side effects become permanent with the transaction: pending entries
   // are dropped, compensable ones kept for a later committed reversal.
   if (side_effect_log_ != nullptr) side_effect_log_->PromoteFor(id_);
-  mgr_->OnComplete(this, /*committed=*/true);
+  mgr_->OnComplete(this, /*committed=*/true, early_release);
+  if (early_release != kInvalidLsn) return AwaitReleasedCommit(early_release);
+  return Status::Ok();
+}
+
+Status Transaction::AwaitReleasedCommit(Lsn lsn) {
+  // Crash with the locks released and the commit not yet forced: other
+  // transactions may already have read this one's writes. Any commit of
+  // theirs that depends on them forces this record too.
+  Status s = failpoint::Check("txn:early-release:before-force");
+  if (s.ok()) {
+    s = ctx_.log->ForceCommit(lsn, {}, /*rider=*/true);
+  }
+  if (!s.ok()) {
+    // The release cannot be taken back, so a failure here is a crash: no
+    // later commit may be acknowledged (it could rest on these writes).
+    ctx_.log->Fail();
+    return s.IsCrashed() ? s
+                         : Status::Crashed("force failed after early lock "
+                                           "release: " + s.ToString());
+  }
+  ctx_.locks->ForgetEarlyReleases(released_early_, lsn);
+  released_early_.clear();
   return Status::Ok();
 }
 

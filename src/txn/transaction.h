@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/latch.h"
@@ -105,8 +106,17 @@ class Transaction {
   // --- completion ----------------------------------------------------------
   // Commit appends a commit record and waits for the group-commit force;
   // Abort undoes every update and appends an abort record. A transaction
-  // that logged nothing does neither: it appends no record and never
-  // forces (DESIGN.md §9). Both release the locks on completion.
+  // that logged nothing does neither: it appends no record, and forces
+  // only to wait for a reorganizer's early-released commit it read
+  // (below). Both release the locks on completion.
+  //
+  // A reorganizer transaction (LogSource::kReorg) that logged releases
+  // its locks early (DESIGN.md §9): it appends its commit record,
+  // promotes its side effects and releases its locks, and only then
+  // waits for its force, as a rider of whatever batch covers it. Commit
+  // still returns only once the commit is stable. A force that fails
+  // after the release fails the log (LogManager::Fail) and returns
+  // Status::Crashed; the transaction is no longer active then.
   Status Commit();
   Status Abort();
 
@@ -150,16 +160,11 @@ class Transaction {
   // own copy of its rows in the shared lock table, so RequireHeld and a
   // re-entrant Lock answer without touching that table (DESIGN.md §10).
   // A user walk's handful of locks is a linear scan over a flat vector,
-  // which allocates once where a hash map allocates per entry; past a
-  // few dozen entries a hash index keeps lookups O(1) for reorganizer
-  // transactions that hold thousands.
+  // which allocates once where a hash map allocates per entry. Past a
+  // few dozen entries they move into a hash map, which keeps lookups
+  // O(1) for reorganizer transactions that hold thousands.
   class HeldLocks {
    public:
-    struct Entry {
-      ObjectId oid;
-      LockMode mode;
-    };
-
     // The mode held on oid, or nullptr if oid is not held.
     const LockMode* Find(ObjectId oid) const;
     // Records oid as held in `mode`; true if it was not held before.
@@ -168,17 +173,19 @@ class Transaction {
     bool Erase(ObjectId oid);
     void Clear();
 
-    size_t size() const { return entries_.size(); }
-    const std::vector<Entry>& entries() const { return entries_; }
+    size_t size() const { return small_.size() + large_.size(); }
+    // Calls fn(oid, mode) for every held lock.
+    template <typename Fn>
+    void ForEach(Fn fn) const {
+      for (const auto& [oid, mode] : small_) fn(oid, mode);
+      for (const auto& [oid, mode] : large_) fn(oid, mode);
+    }
 
    private:
-    // Index of oid in entries_, or entries_.size() if not held.
-    size_t Position(ObjectId oid) const;
-
-    std::vector<Entry> entries_;
-    // entries_ position per object, kept only once entries_ has outgrown a
-    // linear scan.
-    std::unordered_map<ObjectId, uint32_t> index_;
+    // Every entry lives in exactly one of the two: in small_ until it
+    // outgrows a linear scan, then all of them in large_.
+    std::vector<std::pair<ObjectId, LockMode>> small_;
+    std::unordered_map<ObjectId, LockMode> large_;
   };
 
   Transaction(TransactionManager* mgr, TxnContext ctx, TxnId id,
@@ -186,6 +193,9 @@ class Transaction {
       : mgr_(mgr), ctx_(ctx), id_(id), source_(source) {}
 
   Status RequireHeld(ObjectId oid, LockMode min_mode) const;
+  // The tail of an early-release commit (Commit's comment): waits, as a
+  // rider, for the commit record at `lsn` to become stable.
+  Status AwaitReleasedCommit(Lsn lsn);
   // Records a lock the lock manager just granted.
   void NoteGranted(ObjectId oid, LockMode mode);
   bool UseLatchfreeReads() const {
@@ -217,6 +227,13 @@ class Transaction {
       std::chrono::steady_clock::now();
 
   HeldLocks held_;
+  // The highest commit LSN of a reorganizer's early release whose object
+  // this transaction locked while that commit was not yet stable
+  // (kInvalidLsn if none): a read-only commit waits for it.
+  Lsn read_dep_ = kInvalidLsn;
+  // The exclusively locked objects an early-release commit released, kept
+  // until its force to drop their early-release records.
+  std::vector<ObjectId> released_early_;
   // Every object this transaction locked, recorded only while the lock
   // manager keeps history (Section 4.1), for ForgetTxn at completion.
   std::vector<ObjectId> ever_locked_;

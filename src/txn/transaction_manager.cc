@@ -78,7 +78,8 @@ void TransactionManager::Deregister(TxnId id) {
 
 void TransactionManager::OnAbandon(Transaction* txn) { Deregister(txn->id()); }
 
-void TransactionManager::OnComplete(Transaction* txn, bool committed) {
+void TransactionManager::OnComplete(Transaction* txn, bool committed,
+                                    Lsn unstable_commit) {
   if (completion_hook_ && txn->last_lsn_ != kInvalidLsn) {
     completion_hook_(txn->id(), committed);
   }
@@ -87,9 +88,14 @@ void TransactionManager::OnComplete(Transaction* txn, bool committed) {
   }
   // Release locks before declaring the transaction complete: a waiter in
   // WaitForTxn must be able to lock whatever the transaction held.
-  for (const auto& e : txn->held_.entries()) {
-    ctx_.locks->Release(txn->id(), e.oid);
-  }
+  txn->held_.ForEach([&](ObjectId oid, LockMode mode) {
+    if (unstable_commit != kInvalidLsn && mode == LockMode::kExclusive) {
+      ctx_.locks->Release(txn->id(), oid, unstable_commit);
+      txn->released_early_.push_back(oid);
+    } else {
+      ctx_.locks->Release(txn->id(), oid);
+    }
+  });
   txn->held_.Clear();
   Deregister(txn->id());
 }

@@ -68,7 +68,11 @@ class TransactionManager {
   friend class Transaction;
 
   // Called by Transaction at the end of commit/abort processing.
-  void OnComplete(Transaction* txn, bool committed);
+  // unstable_commit is the commit LSN of an early-release commit (not yet
+  // stable): it is recorded with every exclusive lock released, and those
+  // objects are kept in txn->released_early_.
+  void OnComplete(Transaction* txn, bool committed,
+                  Lsn unstable_commit = kInvalidLsn);
 
   // Called by Transaction::Abandon: deregisters without running the
   // completion hook or releasing locks (crash semantics).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "common/failpoint.h"
 #include "wal/disk_log.h"
@@ -39,6 +40,7 @@ Status LogManager::FlushInternal(Lsn target) {
   // Delay-only site: a slow force at commit time (group-commit stall).
   BRAHMA_FAILPOINT_HIT("wal:flush");
   std::unique_lock<std::mutex> l(mu_);
+  if (failed_) return Status::Crashed("log failed");
   const Lsn capped = std::min(target, next_lsn_ - 1);
   if (capped <= stable_lsn_) return Status::Ok();  // already durable
   // The log device is one disk head: forces serialize, and without group
@@ -58,12 +60,14 @@ Status LogManager::FlushInternal(Lsn target) {
   l.lock();
   last_force_ = took;
   force_in_progress_ = false;
+  if (dev.ok() && failed_) dev = Status::Crashed("log failed");
   if (dev.ok()) stable_lsn_ = std::max(stable_lsn_, capped);
   force_cv_.notify_all();
   return dev;
 }
 
-Status LogManager::ForceCommit(Lsn target, std::chrono::nanoseconds work) {
+Status LogManager::ForceCommit(Lsn target, std::chrono::nanoseconds work,
+                               bool rider) {
   if (!group_commit_) {
     // Ablation / legacy mode: every committer queues for a serial force
     // of its own. FlushInternal hits the "wal:flush" delay site itself;
@@ -73,12 +77,16 @@ Status LogManager::ForceCommit(Lsn target, std::chrono::nanoseconds work) {
   // Same delay-only site as Flush — a stalled device stalls the batch.
   BRAHMA_FAILPOINT_HIT("wal:flush");
   std::unique_lock<std::mutex> l(mu_);
+  if (failed_) return Status::Crashed("log failed");
   Lsn capped = std::min(target, next_lsn_ - 1);
   if (capped <= stable_lsn_) return Status::Ok();  // already durable
   requested_max_ = std::max(requested_max_, capped);
-  // Registered until we return, so a holding flusher can count us.
-  waiting_.push_back({capped, work});
-  if (gathering_) gather_cv_.notify_one();
+  // Registered until we return, so a holding flusher can count us. A
+  // rider is never counted: no batch waits for a reorganizer.
+  if (!rider) {
+    waiting_.push_back({capped, work});
+    if (gathering_) gather_cv_.notify_one();
+  }
   // If a force is already in flight we cannot ride it — the device write
   // may have started before our records were appended. Wait for it to
   // finish; if its batch covered us (it grabbed requested_max_ after our
@@ -86,7 +94,7 @@ Status LogManager::ForceCommit(Lsn target, std::chrono::nanoseconds work) {
   while (force_in_progress_) {
     force_cv_.wait(l);
     if (capped <= stable_lsn_) {
-      Unregister(capped);
+      if (!rider) Unregister(capped);
       gc_absorbed_.fetch_add(1, std::memory_order_relaxed);
       return Status::Ok();
     }
@@ -108,6 +116,7 @@ Status LogManager::ForceCommit(Lsn target, std::chrono::nanoseconds work) {
   Status fp = failpoint::Check("wal:group-commit:after-force");
   if (!dev.ok()) fp = dev;  // a failed force trumps the crash window
   l.lock();
+  if (fp.ok() && failed_) fp = Status::Crashed("log failed");
   last_force_ = took;
   force_in_progress_ = false;  // cleared even on crash: waiters re-elect
   if (fp.ok()) {
@@ -127,7 +136,7 @@ Status LogManager::ForceCommit(Lsn target, std::chrono::nanoseconds work) {
   } else {
     last_waiting_ = 0;  // nobody returns from a failed batch: never hold
   }
-  Unregister(capped);
+  if (!rider) Unregister(capped);
   force_cv_.notify_all();
   return fp;
 }
@@ -166,6 +175,16 @@ void LogManager::Unregister(Lsn lsn) {
   waiting_.pop_back();
 }
 
+void LogManager::Fail() {
+  std::unique_lock<std::mutex> l(mu_);
+  failed_ = true;
+}
+
+bool LogManager::failed() const {
+  std::unique_lock<std::mutex> l(mu_);
+  return failed_;
+}
+
 uint64_t LogManager::fsyncs() const {
   return dlog_ != nullptr ? dlog_->fsyncs() : 0;
 }
@@ -173,6 +192,7 @@ uint64_t LogManager::fsyncs() const {
 void LogManager::ResetFromRecovered(std::vector<LogRecord> records,
                                     Lsn next_if_empty) {
   std::unique_lock<std::mutex> l(mu_);
+  failed_ = false;
   records_.assign(records.begin(), records.end());
   if (records_.empty()) {
     first_lsn_ = next_if_empty;
@@ -215,6 +235,7 @@ bool LogManager::GetRecord(Lsn lsn, LogRecord* out) const {
 
 void LogManager::DiscardUnflushed() {
   std::unique_lock<std::mutex> l(mu_);
+  failed_ = false;  // the restarted process starts from the stable log
   while (!records_.empty() && records_.back().lsn > stable_lsn_) {
     records_.pop_back();
   }
@@ -241,12 +262,32 @@ size_t LogManager::NumRecords() const {
 }
 
 void LogManager::Truncate(Lsn upto) {
+  // Receives the dropped records; destroyed after unlocking, when it goes
+  // out of scope. Freeing ~100k records' payloads under mu_ stalled every
+  // Append and ForceCommit for milliseconds.
+  std::deque<LogRecord> dropped;
   {
     std::unique_lock<std::mutex> l(mu_);
-    while (!records_.empty() && records_.front().lsn < upto) {
-      records_.pop_front();
-      ++first_lsn_;
+    const size_t n = upto > first_lsn_
+                         ? std::min(records_.size(),
+                                    static_cast<size_t>(upto - first_lsn_))
+                         : 0;
+    const auto cut = records_.begin() + static_cast<std::ptrdiff_t>(n);
+    if (n > 0 && n <= records_.size() - n) {
+      // Move the dropped prefix out; erasing moved-from records frees no
+      // payload.
+      dropped.assign(std::make_move_iterator(records_.begin()),
+                     std::make_move_iterator(cut));
+      records_.erase(records_.begin(), cut);
+    } else if (n > 0) {
+      // Move the kept suffix into a fresh deque; the old one, dropped
+      // prefix and all, leaves with `dropped`.
+      std::deque<LogRecord> kept(std::make_move_iterator(cut),
+                                 std::make_move_iterator(records_.end()));
+      records_.swap(kept);
+      dropped.swap(kept);
     }
+    first_lsn_ += static_cast<Lsn>(n);
   }
   // Disk truncation outside mu_: recycling segments can touch the
   // directory and must not stall appenders.

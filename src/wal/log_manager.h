@@ -25,8 +25,9 @@ class DiskLog;
 // to "disk" — a configurable flush latency models the commit-time I/O
 // that gives the paper's systems CPU / I/O parallelism (Section 5.3.1:
 // throughput does not peak at MPL 1 because logs are flushed to disk at
-// commit time). A transaction that logged nothing never reaches the log
-// at all: no commit record, no force (DESIGN.md §9).
+// commit time). A transaction that logged nothing appends no commit
+// record, and waits for a force only when it read a reorganizer's write
+// that was released before it was stable (DESIGN.md §9).
 //
 // The log also feeds the log analyzer (paper Section 3.3): an optional
 // append observer sees every record the moment it is handed to the
@@ -71,16 +72,36 @@ class LogManager {
   // in flight. A committer with unknown work, or with work longer than
   // the force, never causes a hold.
   //
-  // Returns non-OK only when the "wal:group-commit:after-force" crash
+  // A rider (rider = true) is a committer that batch alignment should
+  // not wait for: a reorganizer committer that has already released its
+  // locks, or a read-only commit waiting for such a release it read
+  // (DESIGN.md §9, "Early lock release"). Batch alignment counts it
+  // neither as a waiter nor as a returner, so no batch is ever held for
+  // one; it is absorbed by whichever force covers its LSN, and elects
+  // itself only when no force is in flight (it may then hold for
+  // returning users, like any flusher).
+  //
+  // Returns non-OK when the "wal:group-commit:after-force" crash
   // failpoint fires in the window between the device force and the
   // stable_lsn_ advance: the records were (maybe) written but durability
   // was never acknowledged, so the committer must NOT treat the
   // transaction as committed. Absorbed waiters of a crashed flusher are
   // woken and re-elect (or crash out themselves if the site is armed
   // unlimited) — no waiter ever observes durability before a force
-  // actually completed and advanced stable_lsn_.
-  Status ForceCommit(Lsn target, std::chrono::nanoseconds work =
-                                     std::chrono::nanoseconds(0));
+  // actually completed and advanced stable_lsn_. Also Status::Crashed
+  // once the log has failed (Fail).
+  Status ForceCommit(
+      Lsn target, std::chrono::nanoseconds work = std::chrono::nanoseconds(0),
+      bool rider = false);
+
+  // Marks the log failed: every later force returns Status::Crashed and
+  // stable_lsn_ never advances again, so no later commit is acknowledged.
+  // A reorganizer commit calls it when its force fails after it released
+  // its locks early: readers may already have seen its writes, so the
+  // process must behave as crashed. Cleared by DiscardUnflushed and
+  // ResetFromRecovered (restart).
+  void Fail();
+  bool failed() const;
 
   void set_group_commit(bool on) { group_commit_ = on; }
   bool group_commit() const { return group_commit_; }
@@ -140,7 +161,10 @@ class LogManager {
   // Returns copies of all stable records with lsn >= from (for recovery).
   std::vector<LogRecord> StableRecordsFrom(Lsn from) const;
 
-  // Drops stable records with lsn < upto (checkpoint truncation).
+  // Drops stable records with lsn < upto (checkpoint truncation). Under
+  // the log mutex it only moves records (the smaller side, kept or
+  // dropped, into a fresh deque); the dropped ones are destroyed after
+  // unlocking, so appenders and forces never wait on their frees.
   void Truncate(Lsn upto);
 
   // Number of records currently retained in memory.
@@ -183,14 +207,15 @@ class LogManager {
   // queueing a force of their own.
   bool group_commit_ = false;
   bool force_in_progress_ = false;
+  bool failed_ = false;
   Lsn requested_max_ = 0;
   std::condition_variable force_cv_;
   std::atomic<uint64_t> gc_batches_{0};
   std::atomic<uint64_t> gc_absorbed_{0};
 
   // Batch alignment state (all under mu_). waiting_ holds every
-  // committer inside ForceCommit: the LSN it needs stable and its
-  // Begin-to-commit work (unordered; a vector so that steady state
+  // committer inside ForceCommit except riders: the LSN it needs stable
+  // and its Begin-to-commit work (unordered; a vector so that steady state
   // allocates nothing under mu_). When a batch force ends, last_waiting_
   // records how many of them no earlier force covered and last_slowest_
   // the longest work among the batch it covered (max() if one was

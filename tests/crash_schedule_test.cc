@@ -88,13 +88,17 @@ TEST(CrashScheduleTest, DiscoveryEnumeratesAtLeastTenSites) {
 // pipeline — sibling workers race the dying one, so recovery must cope
 // with whatever prefix of their groups reached the stable log.
 void RunCrashSchedule(bool two_lock, const std::string& site,
-                      uint32_t num_workers = 1) {
+                      uint32_t num_workers = 1, uint32_t group_size = 1,
+                      std::chrono::microseconds force =
+                          std::chrono::microseconds(0)) {
   SCOPED_TRACE((two_lock ? "twolock @ " : "basic @ ") + site +
-               " workers=" + std::to_string(num_workers));
+               " workers=" + std::to_string(num_workers) +
+               " group=" + std::to_string(group_size));
   FailPoints::Instance().Reset();
 
   DatabaseOptions dopt = testing::SmallDbOptions(5);
   dopt.lock_timeout = std::chrono::milliseconds(100);
+  dopt.commit_flush_latency = force;
   Database db(dopt);
   WorkloadParams params = testing::SmallWorkload(2);
   params.objects_per_partition = 85 * 2;
@@ -119,6 +123,7 @@ void RunCrashSchedule(bool two_lock, const std::string& site,
   IraOptions opt;
   opt.two_lock_mode = two_lock;
   opt.num_workers = num_workers;
+  opt.group_size = group_size;
   opt.lock_timeout = std::chrono::milliseconds(100);
   opt.backoff_initial = std::chrono::milliseconds(1);
   opt.checkpoint_sink = &ckpt;
@@ -207,6 +212,28 @@ TEST(CrashScheduleTest, ParallelTwoLockModeSurvivesCrashAtEverySite) {
     RunCrashSchedule(/*two_lock=*/true, site, /*num_workers=*/3);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+// The window a reorganizer commit opens by releasing its locks before its
+// force (DESIGN.md §9): the mutators may already have read and rewritten
+// what the migration wrote. A modeled force keeps that window open long
+// enough for them to. The site is outside the discovered set (an injected
+// abort there could not be rolled back), so it is run here in every mode
+// by name.
+TEST(CrashScheduleTest, CrashBetweenEarlyReleaseAndForceInEveryMode) {
+  const std::string site = "txn:early-release:before-force";
+  const auto force = std::chrono::microseconds(500);
+  RunCrashSchedule(/*two_lock=*/false, site, /*num_workers=*/1,
+                   /*group_size=*/1, force);
+  if (::testing::Test::HasFatalFailure()) return;
+  RunCrashSchedule(/*two_lock=*/false, site, /*num_workers=*/1,
+                   /*group_size=*/5, force);
+  if (::testing::Test::HasFatalFailure()) return;
+  RunCrashSchedule(/*two_lock=*/true, site, /*num_workers=*/1,
+                   /*group_size=*/1, force);
+  if (::testing::Test::HasFatalFailure()) return;
+  RunCrashSchedule(/*two_lock=*/false, site, /*num_workers=*/4,
+                   /*group_size=*/1, force);
 }
 
 // Satellite: the Section 4.2 window between the two copies — O_new's

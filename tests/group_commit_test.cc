@@ -199,6 +199,60 @@ TEST_F(GroupCommitTest, HoldIsBoundedByOneForce) {
   EXPECT_LT(waited, 3 * kAlignForce);
 }
 
+TEST_F(GroupCommitTest, NoUserBatchIsHeldForAReorganizerCommitter) {
+  // A reorganizer committer (a rider) commits once with a short work time
+  // and does not come back, as in HoldIsBoundedByOneForce. Counted as a
+  // returner, it would make the flusher elected from user B hold for one
+  // force. As a rider it counts for nothing: B's batch starts the moment
+  // the rider's force ends, and nobody holds.
+  LogManager lm(kAlignForce);
+  lm.set_group_commit(true);
+  const auto work = std::chrono::milliseconds(1);
+  const Lsn r = lm.Append(MakeRecord());
+  std::chrono::steady_clock::time_point r_end, b_end;
+  std::thread rider([&] {
+    EXPECT_TRUE(lm.ForceCommit(r, work, /*rider=*/true).ok());
+    r_end = std::chrono::steady_clock::now();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const Lsn b = lm.Append(MakeRecord());
+  std::thread tb([&] {
+    EXPECT_TRUE(lm.ForceCommit(b, work).ok());
+    b_end = std::chrono::steady_clock::now();
+  });
+  rider.join();
+  tb.join();
+
+  EXPECT_EQ(lm.group_commit_gathers(), 0u);
+  EXPECT_EQ(lm.group_commit_batches(), 2u);
+  const auto waited = b_end - r_end;
+  EXPECT_GE(waited, kAlignForce - std::chrono::milliseconds(5));
+  EXPECT_LT(waited, 2 * kAlignForce - std::chrono::milliseconds(10));
+}
+
+TEST_F(GroupCommitTest, RiderSharesTheNextBatchWithUsers) {
+  // A rider and a user that arrive while a user force is in flight both
+  // wait for it; the next batch, led by whichever wins the election,
+  // covers both, so one of them returns absorbed.
+  LogManager lm(kAlignForce);
+  lm.set_group_commit(true);
+  const Lsn a = lm.Append(MakeRecord());
+  std::thread ta([&] { EXPECT_TRUE(lm.ForceCommit(a).ok()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const Lsn r = lm.Append(MakeRecord());
+  const Lsn b = lm.Append(MakeRecord());
+  std::thread rider(
+      [&] { EXPECT_TRUE(lm.ForceCommit(r, {}, /*rider=*/true).ok()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::thread tb([&] { EXPECT_TRUE(lm.ForceCommit(b).ok()); });
+  ta.join();
+  rider.join();
+  tb.join();
+  EXPECT_EQ(lm.stable_lsn(), b);
+  EXPECT_EQ(lm.group_commit_batches(), 2u);
+  EXPECT_EQ(lm.group_commit_forces_absorbed(), 1u);
+}
+
 TEST_F(GroupCommitTest, AlreadyDurableTargetSkipsTheDevice) {
   LogManager lm(std::chrono::microseconds(0));
   lm.set_group_commit(true);
