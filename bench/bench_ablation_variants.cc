@@ -3,12 +3,12 @@
 //      vs. reorganization duration.
 //   2. Section 4.3 migration grouping: migrations per transaction vs.
 //      reorganization duration, log volume, and workload impact.
-//   3. Section 4.5 TRT purge on/off: peak TRT size and drain work.
+// (The Section 4.5 TRT purge ablation is finished; its last result is in
+// EXPERIMENTS.md.)
 //
 // Expected: two-lock caps the lock footprint at 2 at the cost of a longer
 // reorganization; grouping shortens the reorganization (fewer commits /
-// log forces) but holds more locks at once; the purge keeps the TRT small
-// under an update-heavy workload.
+// log forces) but holds more locks at once.
 
 #include "bench/harness.h"
 
@@ -53,19 +53,6 @@ void Run() {
                 static_cast<unsigned long long>(
                     r.reorg.max_distinct_objects_locked),
                 r.driver.throughput_tps(), r.driver.response_ms.mean());
-  }
-
-  std::printf("\n# Ablation 3 — TRT purge (Section 4.5), update-heavy\n");
-  std::printf("%-10s %16s %16s %16s\n", "purge", "trt_peak", "drained",
-              "reorg_ms");
-  for (bool purge : {true, false}) {
-    IraOptions opt;
-    opt.disable_trt_purge = !purge;
-    ExperimentResult r = RunIraVariant(opt, 0.8);
-    std::printf("%-10s %16llu %16llu %16.1f\n", purge ? "on" : "off",
-                static_cast<unsigned long long>(r.reorg.trt_peak_size),
-                static_cast<unsigned long long>(r.reorg.trt_tuples_drained),
-                r.reorg.duration_ms);
   }
 }
 

@@ -20,13 +20,13 @@
 // CI asserts reorg_ok == 1 and that disk-mode reads_per_traversal
 // strictly drops (and hit_rate rises) from before to after.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/harness.h"
 #include "common/file_util.h"
+#include "common/histogram.h"
 #include "core/relocation.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -52,13 +52,6 @@ struct PhaseResult {
   double p99_ms = 0;
   uint32_t traversals = 0;
 };
-
-double Percentile(std::vector<double>* v, double p) {
-  if (v->empty()) return 0;
-  std::sort(v->begin(), v->end());
-  size_t idx = static_cast<size_t>(p * static_cast<double>(v->size() - 1));
-  return (*v)[idx];
-}
 
 // Read-only traversal transaction: DFS over one cluster tree following
 // the tree-child slots, ReadData at every node.
@@ -106,7 +99,7 @@ PhaseResult MeasurePhase(Database* db, const std::vector<ObjectId>& roots,
   // round-robin schedule inherits its predecessor's residency and the
   // scatter cost vanishes from the measurement.
   uint64_t rng = 0x9E3779B97F4A7C15ull;
-  std::vector<double> lat_ms;
+  Histogram lat_ms;
   const uint32_t traversals =
       static_cast<uint32_t>(cfg.traversal_rounds) *
       static_cast<uint32_t>(roots.size());
@@ -118,7 +111,7 @@ PhaseResult MeasurePhase(Database* db, const std::vector<ObjectId>& roots,
       ObjectId root = roots[rng % roots.size()];
       Stopwatch sw;
       uint32_t visited = TraverseCluster(db, root, cfg.fanout);
-      lat_ms.push_back(sw.ElapsedMillis());
+      lat_ms.Add(sw.ElapsedMillis());
       if (visited != cfg.tree_nodes) {
         std::fprintf(stderr, "traversal visited %u != %u nodes\n", visited,
                      cfg.tree_nodes);
@@ -137,7 +130,7 @@ PhaseResult MeasurePhase(Database* db, const std::vector<ObjectId>& roots,
     }
   }
 
-  r.traversals = static_cast<uint32_t>(lat_ms.size());
+  r.traversals = static_cast<uint32_t>(lat_ms.count());
   if (db->disk_data() != nullptr) {
     r.reads_per_traversal =
         static_cast<double>(db->disk_data()->pages_read() - reads0) /
@@ -148,8 +141,8 @@ PhaseResult MeasurePhase(Database* db, const std::vector<ObjectId>& roots,
     const double misses = static_cast<double>(pool->pool_misses() - miss0);
     r.hit_rate = hits + misses > 0 ? hits / (hits + misses) : 1.0;
   }
-  r.p50_ms = Percentile(&lat_ms, 0.50);
-  r.p99_ms = Percentile(&lat_ms, 0.99);
+  r.p50_ms = lat_ms.Percentile(0.50);
+  r.p99_ms = lat_ms.Percentile(0.99);
   return r;
 }
 
@@ -250,7 +243,9 @@ void RunMode(const PoolBenchConfig& cfg, JsonBenchWriter* json) {
   iopt.lock_timeout = std::chrono::milliseconds(200);
   ReorgStats stats;
   Stopwatch reorg_sw;
+  const RunCounters before_reorg = ReadRunCounters(db);
   Status rs = db.RunIra(1, &planner, iopt, &stats);
+  const RunCounters during = RunCountersSince(before_reorg, db);
   const double reorg_ms = reorg_sw.ElapsedMillis();
   const bool reorg_ok = rs.ok() && stats.objects_migrated ==
                                        static_cast<uint64_t>(cfg.clusters) * n;
@@ -284,9 +279,9 @@ void RunMode(const PoolBenchConfig& cfg, JsonBenchWriter* json) {
         "reorg: %.1fms, migrated=%llu, pool misses during reorg=%llu, "
         "evictions=%llu, writebacks=%llu\n",
         reorg_ms, static_cast<unsigned long long>(stats.objects_migrated),
-        static_cast<unsigned long long>(stats.pool_misses.load()),
-        static_cast<unsigned long long>(stats.frames_evicted.load()),
-        static_cast<unsigned long long>(stats.dirty_writebacks.load()));
+        static_cast<unsigned long long>(during.pool_misses),
+        static_cast<unsigned long long>(during.frames_evicted),
+        static_cast<unsigned long long>(during.dirty_writebacks));
   }
 }
 

@@ -76,9 +76,9 @@ void Run() {
                      {static_cast<double>(mpl), r.reorg_duration_ms,
                       r.driver.throughput_tps(),
                       r.driver.response_ms.Percentile(0.99),
-                      static_cast<double>(r.reorg.deadlocks_detected),
-                      static_cast<double>(r.reorg.victims_aborted),
-                      static_cast<double>(r.reorg.victim_wait_ms_saved),
+                      static_cast<double>(r.counters.deadlocks_detected),
+                      static_cast<double>(r.counters.victims_aborted),
+                      static_cast<double>(r.counters.victim_wait_ms_saved),
                       static_cast<double>(r.reorg.lock_timeouts)});
       std::printf("#   policy=%s\n", PolicyName(policies[mode]));
       json.BeginRow();
@@ -94,11 +94,11 @@ void Run() {
       json.Add("user_other_aborts",
                static_cast<double>(r.driver.other_aborts));
       json.Add("deadlocks_detected",
-               static_cast<double>(r.reorg.deadlocks_detected));
+               static_cast<double>(r.counters.deadlocks_detected));
       json.Add("victims_aborted",
-               static_cast<double>(r.reorg.victims_aborted));
+               static_cast<double>(r.counters.victims_aborted));
       json.Add("victim_wait_ms_saved",
-               static_cast<double>(r.reorg.victim_wait_ms_saved));
+               static_cast<double>(r.counters.victim_wait_ms_saved));
       json.Add("lock_timeouts", static_cast<double>(r.reorg.lock_timeouts));
       json.Add("objects_migrated",
                static_cast<double>(r.reorg.objects_migrated));

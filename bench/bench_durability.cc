@@ -71,9 +71,9 @@ void Run() {
       PrintSeriesRow(mode,
                      {static_cast<double>(w), r.reorg_duration_ms,
                       r.driver.throughput_tps(),
-                      static_cast<double>(r.reorg.fsyncs),
-                      static_cast<double>(r.reorg.group_commit_batches),
-                      static_cast<double>(r.reorg.forces_absorbed)});
+                      static_cast<double>(r.counters.fsyncs),
+                      static_cast<double>(r.counters.group_commit_batches),
+                      static_cast<double>(r.counters.forces_absorbed)});
       json.BeginRow();
       json.Add("durability", mode);
       json.Add("workers", w);
@@ -81,13 +81,13 @@ void Run() {
       json.Add("reorg_ms", r.reorg_duration_ms);
       json.Add("user_tps", r.driver.throughput_tps());
       json.Add("user_p99_ms", r.driver.response_ms.Percentile(0.99));
-      json.Add("fsyncs", static_cast<double>(r.reorg.fsyncs));
+      json.Add("fsyncs", static_cast<double>(r.counters.fsyncs));
       json.Add("group_commit_batches",
-               static_cast<double>(r.reorg.group_commit_batches));
+               static_cast<double>(r.counters.group_commit_batches));
       json.Add("forces_absorbed",
-               static_cast<double>(r.reorg.forces_absorbed));
+               static_cast<double>(r.counters.forces_absorbed));
       json.Add("wal_records_verified",
-               static_cast<double>(r.reorg.wal_records_verified));
+               static_cast<double>(r.counters.wal_records_verified));
       json.Add("reorg_ok", r.reorg_status.ok() ? 1 : 0);
       RemoveDirRecursive(wal_dir);
     }

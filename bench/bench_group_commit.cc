@@ -53,16 +53,16 @@ void Run() {
       cfg.group_commit = gc != 0;
       ExperimentResult r = RunExperiment(cfg);
       const double batches =
-          static_cast<double>(r.reorg.group_commit_batches);
-      const double absorbed = static_cast<double>(r.reorg.forces_absorbed);
+          static_cast<double>(r.counters.group_commit_batches);
+      const double absorbed = static_cast<double>(r.counters.forces_absorbed);
       // Commits made durable per device force (0 without group commit,
       // where the daemon counts nothing).
       const double per_force =
           batches > 0 ? (batches + absorbed) / batches : 0;
       const double gathers =
-          static_cast<double>(r.reorg.group_commit_gathers);
+          static_cast<double>(r.counters.group_commit_gathers);
       const double gather_timeouts =
-          static_cast<double>(r.reorg.group_commit_gather_timeouts);
+          static_cast<double>(r.counters.group_commit_gather_timeouts);
       PrintSeriesRow(gc, {static_cast<double>(w), r.reorg_duration_ms,
                           r.driver.throughput_tps(),
                           r.driver.response_ms.Percentile(0.99), batches,

@@ -101,9 +101,9 @@ void Run() {
                           r.driver.throughput_tps(),
                           r.driver.response_ms.Percentile(0.99),
                           r.reorg_duration_ms,
-                          static_cast<double>(r.reorg.latchfree_reads),
-                          static_cast<double>(r.reorg.epoch_advances),
-                          static_cast<double>(r.reorg.retire_drains)});
+                          static_cast<double>(r.counters.latchfree_reads),
+                          static_cast<double>(r.counters.epoch_advances),
+                          static_cast<double>(r.counters.retire_drains)});
       json.BeginRow();
       json.Add("latchfree", lf);
       json.Add("workers", w);
@@ -116,10 +116,10 @@ void Run() {
       json.Add("objects_migrated",
                static_cast<double>(r.reorg.objects_migrated));
       json.Add("latchfree_reads",
-               static_cast<double>(r.reorg.latchfree_reads));
+               static_cast<double>(r.counters.latchfree_reads));
       json.Add("epoch_advances",
-               static_cast<double>(r.reorg.epoch_advances));
-      json.Add("retire_drains", static_cast<double>(r.reorg.retire_drains));
+               static_cast<double>(r.counters.epoch_advances));
+      json.Add("retire_drains", static_cast<double>(r.counters.retire_drains));
       json.Add("lock_timeouts", static_cast<double>(r.reorg.lock_timeouts));
       json.Add("reorg_ok", r.reorg_status.ok() ? 1 : 0);
     }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/histogram.h"
 #include "common/params.h"
 #include "core/database.h"
 #include "core/fuzzy_traversal.h"
@@ -203,7 +204,7 @@ void BM_WalTruncateWorstAppend(benchmark::State& state) {
   rec.oid = ObjectId(1, 64);
   rec.old_data.assign(64, 1);
   rec.new_data.assign(64, 2);
-  std::vector<double> worst_us;
+  Histogram worst_us;
   for (auto _ : state) {
     state.PauseTiming();
     auto log = std::make_unique<LogManager>();
@@ -234,14 +235,12 @@ void BM_WalTruncateWorstAppend(benchmark::State& state) {
     state.PauseTiming();
     done.store(true);
     appender.join();
-    worst_us.push_back(
-        std::chrono::duration<double, std::micro>(worst).count());
+    worst_us.Add(std::chrono::duration<double, std::micro>(worst).count());
     log.reset();
     state.ResumeTiming();
   }
-  std::sort(worst_us.begin(), worst_us.end());
-  state.counters["worst_append_us"] = worst_us[worst_us.size() / 2];
-  state.counters["worst_append_max_us"] = worst_us.back();
+  state.counters["worst_append_us"] = worst_us.Percentile(0.5);
+  state.counters["worst_append_max_us"] = worst_us.max();
 }
 BENCHMARK(BM_WalTruncateWorstAppend)
     ->Iterations(15)

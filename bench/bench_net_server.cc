@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "common/histogram.h"
 #include "core/reorg_throttle.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -96,7 +97,7 @@ struct SwarmConfig {
 };
 
 struct PhaseStats {
-  SampleStats latency_ms;
+  Histogram latency_ms;
   double duration_s = 0;
   double tps() const {
     return duration_s > 0

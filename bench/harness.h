@@ -94,9 +94,78 @@ struct ExperimentConfig {
   FsyncMode fsync_mode = FsyncMode::kFull;
 };
 
+// Database-wide counters owned by the log, the lock manager, the epoch
+// manager, the buffer pool and the recovery scrub. A bench reports them
+// as deltas over the reorganization run: whatever any thread did while
+// the run overlapped it (user commits that batched with the reorg's
+// forces, cycles a user transaction broke against it, fsyncs, page
+// traffic) is attributed to the run. kInMemory durability and kMemory
+// data contribute zeros.
+struct RunCounters {
+  uint64_t group_commit_batches = 0;
+  uint64_t forces_absorbed = 0;
+  uint64_t group_commit_gathers = 0;
+  uint64_t group_commit_gather_timeouts = 0;
+  uint64_t fsyncs = 0;
+  uint64_t wal_records_verified = 0;
+  uint64_t deadlocks_detected = 0;
+  uint64_t victims_aborted = 0;
+  uint64_t victim_wait_ms_saved = 0;
+  uint64_t latchfree_reads = 0;
+  uint64_t epoch_advances = 0;
+  uint64_t retire_drains = 0;
+  uint64_t pool_misses = 0;
+  uint64_t frames_evicted = 0;
+  uint64_t dirty_writebacks = 0;
+};
+
+inline RunCounters ReadRunCounters(Database& db) {
+  RunCounters c;
+  c.group_commit_batches = db.log().group_commit_batches();
+  c.forces_absorbed = db.log().group_commit_forces_absorbed();
+  c.group_commit_gathers = db.log().group_commit_gathers();
+  c.group_commit_gather_timeouts = db.log().group_commit_gather_timeouts();
+  c.fsyncs = db.log().fsyncs();
+  c.wal_records_verified = db.scrub().wal_records_verified;
+  c.deadlocks_detected = db.locks().deadlocks_detected();
+  c.victims_aborted = db.locks().victims_aborted();
+  c.victim_wait_ms_saved = db.locks().victim_wait_saved_ms();
+  c.latchfree_reads = db.epoch().latchfree_reads();
+  c.epoch_advances = db.epoch().epochs_advanced();
+  c.retire_drains = db.epoch().retire_drains();
+  if (BufferPool* pool = db.buffer_pool(); pool != nullptr) {
+    c.pool_misses = pool->pool_misses();
+    c.frames_evicted = pool->frames_evicted();
+    c.dirty_writebacks = pool->dirty_writebacks();
+  }
+  return c;
+}
+
+// The counters' change since `before`.
+inline RunCounters RunCountersSince(const RunCounters& before, Database& db) {
+  RunCounters d = ReadRunCounters(db);
+  d.group_commit_batches -= before.group_commit_batches;
+  d.forces_absorbed -= before.forces_absorbed;
+  d.group_commit_gathers -= before.group_commit_gathers;
+  d.group_commit_gather_timeouts -= before.group_commit_gather_timeouts;
+  d.fsyncs -= before.fsyncs;
+  d.wal_records_verified -= before.wal_records_verified;
+  d.deadlocks_detected -= before.deadlocks_detected;
+  d.victims_aborted -= before.victims_aborted;
+  d.victim_wait_ms_saved -= before.victim_wait_ms_saved;
+  d.latchfree_reads -= before.latchfree_reads;
+  d.epoch_advances -= before.epoch_advances;
+  d.retire_drains -= before.retire_drains;
+  d.pool_misses -= before.pool_misses;
+  d.frames_evicted -= before.frames_evicted;
+  d.dirty_writebacks -= before.dirty_writebacks;
+  return d;
+}
+
 struct ExperimentResult {
   DriverResult driver;
   ReorgStats reorg;
+  RunCounters counters;  // owners' counters over the reorganization run
   Status reorg_status;
   double reorg_duration_ms = 0;
   // True when the run's reorganization failed (reorg scenarios only).
@@ -251,6 +320,7 @@ inline ExperimentResult RunExperimentExact(const ExperimentConfig& cfg) {
       std::this_thread::sleep_for(std::chrono::duration<double>(cfg.warmup_s));
       CopyOutPlanner planner(dst);
       Stopwatch sw;
+      const RunCounters before = ReadRunCounters(db);
       if (cfg.scenario == Scenario::kIRA) {
         IraReorganizer ira(db.reorg_context());
         IraOptions opt = cfg.ira;
@@ -264,6 +334,7 @@ inline ExperimentResult RunExperimentExact(const ExperimentConfig& cfg) {
         result.reorg_status =
             pqr.Run(cfg.reorg_partition, &planner, opt, &result.reorg);
       }
+      result.counters = RunCountersSince(before, db);
       result.reorg_duration_ms = sw.ElapsedMillis();
       double pad_ms = cfg.min_duration_s * 1e3 - window.ElapsedMillis();
       if (pad_ms > 0) {

@@ -201,10 +201,8 @@ void Database::SimulateCrash() {
   epoch_->ForceDrainAll();
 }
 
-Status Database::Recover(ReorgStats* stats) {
+Status Database::Recover() {
   if (disk_log_ != nullptr) {
-    const uint64_t faults_before =
-        MediaFaultInjector::Instance().faults_injected();
     ScrubReport report;
     CheckpointImage img;
     uint64_t gen = 0;
@@ -224,17 +222,9 @@ Status Database::Recover(ReorgStats* stats) {
         cs.ok() || cs.IsNotFound()
             ? disk_log_->Recover(floor, &recovered, &report)
             : cs;
-    // Fold scrub + media-fault counters whether or not the scan
-    // succeeded — a refused recovery still reports what it saw.
+    // Fold the scrub counters whether or not the scan succeeded — a
+    // refused recovery still reports what it saw.
     scrub_.Add(report);
-    if (stats != nullptr) {
-      stats->wal_records_verified.fetch_add(report.wal_records_verified);
-      stats->torn_tails_truncated.fetch_add(report.torn_tails_truncated);
-      stats->checkpoint_generations_discarded.fetch_add(
-          report.checkpoint_generations_discarded);
-      stats->media_faults_injected.fetch_add(
-          MediaFaultInjector::Instance().faults_injected() - faults_before);
-    }
     if (!ds.ok()) return ds;
     if (!checkpoint_.valid && !recovered.empty() &&
         recovered.front().lsn != 1) {

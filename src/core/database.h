@@ -185,8 +185,8 @@ class Database {
   // chain, truncating an unacknowledged torn tail, Status::Corrupted if
   // stable data is damaged); then restores the checkpoint image, redoes
   // history, undoes losers, rebuilds ERTs, and restarts the analyzer.
-  // Scrub counters fold into *stats when given.
-  Status Recover(ReorgStats* stats = nullptr);
+  // The scan's counters accumulate in scrub().
+  Status Recover();
 
   // Cumulative scrub counters across every Recover on this database.
   const ScrubReport& scrub() const { return scrub_; }

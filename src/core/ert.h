@@ -1,7 +1,6 @@
 #ifndef BRAHMA_CORE_ERT_H_
 #define BRAHMA_CORE_ERT_H_
 
-#include <functional>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -24,22 +23,13 @@ class Ert {
  public:
   Ert() : table_(/*bucket_capacity=*/8) {}
 
-  // Debug/observability sink: invoked for every add/remove with the call
-  // site. Test-only; not thread-registered, install before activity.
-  using TraceSink = std::function<void(bool /*add*/, bool /*found*/,
-                                       ObjectId, ObjectId, const char*)>;
-  void SetTraceSink(TraceSink sink) { trace_ = std::move(sink); }
-
-  void AddRef(ObjectId child, ObjectId parent, const char* site = "") {
+  void AddRef(ObjectId child, ObjectId parent) {
     table_.Insert(child, parent);
-    if (trace_) trace_(true, true, child, parent, site);
   }
 
   // Removes one occurrence of (child, parent); returns true if present.
-  bool RemoveRef(ObjectId child, ObjectId parent, const char* site = "") {
-    bool found = table_.EraseOne(child, parent);
-    if (trace_) trace_(false, found, child, parent, site);
-    return found;
+  bool RemoveRef(ObjectId child, ObjectId parent) {
+    return table_.EraseOne(child, parent);
   }
 
   // All external parents currently noted for child.
@@ -78,7 +68,6 @@ class Ert {
 
  private:
   ExtendibleHash<ObjectId, ObjectId, ObjectIdHash> table_;
-  TraceSink trace_;
 };
 
 // One ERT per partition.

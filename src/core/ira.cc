@@ -10,11 +10,9 @@
 #include "common/clock.h"
 #include "common/epoch.h"
 #include "common/failpoint.h"
-#include "common/file_util.h"
 #include "core/fuzzy_traversal.h"
 #include "core/migration_pipe.h"
 #include "core/reorg_throttle.h"
-#include "storage/buffer_pool.h"
 
 namespace brahma {
 
@@ -42,56 +40,15 @@ Cleanup<F> MakeCleanup(F fn) {
   return Cleanup<F>{std::move(fn)};
 }
 
-// Database-wide counters a run reports as deltas over its own duration:
-// whatever any thread did while the run overlapped it (user commits that
-// batched with the reorg's forces, cycles a user transaction broke
-// against it, fsyncs, media faults, page traffic) is attributed to the
-// run. kInMemory durability and kMemory data contribute zeros.
-using SharedCounter = std::pair<std::atomic<uint64_t> ReorgStats::*, uint64_t>;
-
-std::vector<SharedCounter> ReadSharedCounters(const ReorgContext& ctx) {
-  std::vector<SharedCounter> c = {
-      {&ReorgStats::faults_injected, FailPoints::Instance().total_triggered()},
-      {&ReorgStats::group_commit_batches, ctx.log->group_commit_batches()},
-      {&ReorgStats::forces_absorbed, ctx.log->group_commit_forces_absorbed()},
-      {&ReorgStats::group_commit_gathers, ctx.log->group_commit_gathers()},
-      {&ReorgStats::group_commit_gather_timeouts,
-       ctx.log->group_commit_gather_timeouts()},
-      {&ReorgStats::fsyncs, ctx.log->fsyncs()},
-      {&ReorgStats::media_faults_injected,
-       MediaFaultInjector::Instance().faults_injected()},
-      {&ReorgStats::deadlocks_detected, ctx.locks->deadlocks_detected()},
-      {&ReorgStats::victims_aborted, ctx.locks->victims_aborted()},
-      {&ReorgStats::victim_wait_ms_saved, ctx.locks->victim_wait_saved_ms()},
-  };
-  if (ctx.epoch != nullptr) {
-    c.push_back({&ReorgStats::epoch_advances, ctx.epoch->epochs_advanced()});
-    c.push_back({&ReorgStats::retire_drains, ctx.epoch->retire_drains()});
-    c.push_back({&ReorgStats::latchfree_reads, ctx.epoch->latchfree_reads()});
-  }
-  if (BufferPool* pool = ctx.store->buffer_pool(); pool != nullptr) {
-    c.push_back({&ReorgStats::pool_hits, pool->pool_hits()});
-    c.push_back({&ReorgStats::pool_misses, pool->pool_misses()});
-    c.push_back({&ReorgStats::frames_evicted, pool->frames_evicted()});
-    c.push_back({&ReorgStats::dirty_writebacks, pool->dirty_writebacks()});
-  }
-  return c;
-}
-
-// Closes a Run/Resume's stats: wall-clock, then the shared-counter deltas
-// since `before`. Retirements queued at the tail of the run get a drain
-// pass first, now that the migration transactions are done: compaction
-// accounting (and the fragmentation assertions in tests) wants O_old's
-// holes back as soon as the last reader's grace period allows.
-void FoldRunStats(const ReorgContext& ctx, const Stopwatch& sw,
-                  const std::vector<SharedCounter>& before,
-                  ReorgStats* stats) {
+// Closes a Run/Resume's stats with its wall-clock. Retirements queued at
+// the tail of the run get a drain pass first, now that the migration
+// transactions are done: compaction accounting (and the fragmentation
+// assertions in tests) wants O_old's holes back as soon as the last
+// reader's grace period allows.
+void FinishRun(const ReorgContext& ctx, const Stopwatch& sw,
+               ReorgStats* stats) {
   stats->duration_ms = sw.ElapsedMillis();
   if (ctx.epoch != nullptr) ctx.epoch->AdvanceAndDrain();
-  const std::vector<SharedCounter> after = ReadSharedCounters(ctx);
-  for (size_t i = 0; i < after.size(); ++i) {
-    stats->*after[i].first += after[i].second - before[i].second;
-  }
 }
 
 }  // namespace
@@ -112,7 +69,6 @@ Status IraReorganizer::Run(PartitionId p, RelocationPlanner* planner,
         "wait_for_historical_lockers requires lock history");
   }
   Stopwatch sw;
-  const std::vector<SharedCounter> before = ReadSharedCounters(ctx_);
 
   // Start collecting pointer inserts/deletes for the partition. Sync
   // first so pre-reorganization history (already reflected in the graph
@@ -120,7 +76,7 @@ Status IraReorganizer::Run(PartitionId p, RelocationPlanner* planner,
   // on transaction completion only under strict 2PL (Section 4.5).
   const bool strict = ctx_.txns->ctx().strict_2pl;
   ctx_.analyzer->Sync();
-  ctx_.trt->Enable(p, strict && !options.disable_trt_purge);
+  ctx_.trt->Enable(p, strict);
 
   // Quiesce barrier: wait for all transactions active at the time the
   // reorganization started, so all relevant updates are in the TRT
@@ -143,7 +99,7 @@ Status IraReorganizer::Run(PartitionId p, RelocationPlanner* planner,
   Status result = MigrateAllAndFinish(p, planner, options, tr.traversed,
                                       std::move(objects), &migrated, &plists,
                                       stats);
-  FoldRunStats(ctx_, sw, before, stats);
+  FinishRun(ctx_, sw, stats);
   return result;
 }
 
@@ -158,7 +114,6 @@ Status IraReorganizer::Resume(const ReorgCheckpoint& checkpoint,
         "wait_for_historical_lockers requires lock history");
   }
   Stopwatch sw;
-  const std::vector<SharedCounter> before = ReadSharedCounters(ctx_);
   const PartitionId p = checkpoint.partition;
   const bool strict = ctx_.txns->ctx().strict_2pl;
 
@@ -166,7 +121,7 @@ Status IraReorganizer::Resume(const ReorgCheckpoint& checkpoint,
   // (Section 4.4), then let the live analyzer keep noting new updates.
   // (Records between restart and this call may be noted twice — extra
   // tuples only cost drain work.)
-  ctx_.trt->Enable(p, strict && !options.disable_trt_purge);
+  ctx_.trt->Enable(p, strict);
   ReconstructTrt(ctx_.log, checkpoint.lsn, ctx_.trt);
   ctx_.analyzer->Sync();
   ctx_.txns->WaitForAll(ctx_.txns->ActiveTxns());
@@ -222,7 +177,7 @@ Status IraReorganizer::Resume(const ReorgCheckpoint& checkpoint,
   Status result = MigrateAllAndFinish(p, planner, options, tr.traversed,
                                       std::move(objects), &migrated,
                                       &tr.parents, stats);
-  FoldRunStats(ctx_, sw, before, stats);
+  FinishRun(ctx_, sw, stats);
   return result;
 }
 
@@ -1247,7 +1202,7 @@ Status IraReorganizer::SweepGarbage(
       std::vector<ObjectId> removed;
       for (ObjectId child : refs) {
         if (child.partition() != p) {
-          if (erts->For(child.partition()).RemoveRef(child, oid, "gc")) {
+          if (erts->For(child.partition()).RemoveRef(child, oid)) {
             removed.push_back(child);
           }
         }
@@ -1256,8 +1211,7 @@ Status IraReorganizer::SweepGarbage(
         sel.Record(gtxn->id(), SideEffectLog::Kind::kErtAdjust,
                    [erts, oid, removed] {
                      for (ObjectId child : removed) {
-                       erts->For(child.partition()).AddRef(child, oid,
-                                                           "undo-gc");
+                       erts->For(child.partition()).AddRef(child, oid);
                      }
                    });
       }

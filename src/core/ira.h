@@ -40,10 +40,6 @@ struct IraOptions {
   // transaction that ever locked it. Requires LockManager history.
   bool wait_for_historical_lockers = false;
 
-  // Ablation knob: suppress the Section 4.5 TRT purge even under strict
-  // 2PL (the TRT then only shrinks by drains).
-  bool disable_trt_purge = false;
-
   // Lock-wait timeout for the reorganizer's own acquisitions (deadlocks
   // with user transactions are broken by timeout, Section 5).
   std::chrono::milliseconds lock_timeout = kPaperLockTimeout;

@@ -68,7 +68,6 @@ void LogAnalyzer::ProcessRecord(const LogRecord& rec) {
   // and its reference rewrites must not re-enter either table.
   if (rec.source == LogSource::kReorg) return;
   records_processed_.fetch_add(1, std::memory_order_relaxed);
-  if (trace_hook_) trace_hook_(rec);
   switch (rec.type) {
     case LogRecordType::kSetRef:
       HandleRefChange(rec.txn, rec.oid, rec.old_ref, rec.new_ref);
@@ -118,7 +117,7 @@ void LogAnalyzer::HandleRefChange(TxnId txn, ObjectId parent,
                                   ObjectId old_child, ObjectId new_child) {
   if (old_child.valid()) {
     if (old_child.partition() != parent.partition()) {
-      erts_->For(old_child.partition()).RemoveRef(old_child, parent, "analyzer");
+      erts_->For(old_child.partition()).RemoveRef(old_child, parent);
     }
     if (trt_->EnabledFor(old_child.partition())) {
       trt_->NoteDelete(old_child, parent, txn);
@@ -126,7 +125,7 @@ void LogAnalyzer::HandleRefChange(TxnId txn, ObjectId parent,
   }
   if (new_child.valid()) {
     if (new_child.partition() != parent.partition()) {
-      erts_->For(new_child.partition()).AddRef(new_child, parent, "analyzer");
+      erts_->For(new_child.partition()).AddRef(new_child, parent);
     }
     if (trt_->EnabledFor(new_child.partition())) {
       trt_->NoteInsert(new_child, parent, txn);

@@ -60,12 +60,6 @@ class LogAnalyzer {
 
   uint64_t records_processed() const { return records_processed_.load(); }
 
-  // Debug/observability: invoked for every user record processed, before
-  // its ERT/TRT effects are applied. Not for production paths.
-  void SetTraceHook(std::function<void(const LogRecord&)> hook) {
-    trace_hook_ = std::move(hook);
-  }
-
   // Applies one record's effect on the ERT/TRT. Public so recovery-time
   // TRT reconstruction (paper Section 4.4) can reuse it.
   void ProcessRecord(const LogRecord& rec);
@@ -86,7 +80,6 @@ class LogAnalyzer {
   std::atomic<Lsn> processed_{0};
   std::atomic<uint64_t> records_processed_{0};
   std::mutex process_mu_;  // one processor at a time; keeps log order
-  std::function<void(const LogRecord&)> trace_hook_;
 };
 
 }  // namespace brahma

@@ -45,14 +45,6 @@ class ParentLists {
     it->second.erase(parent);
   }
 
-  void ReplaceParent(ObjectId child, ObjectId old_parent,
-                     ObjectId new_parent) {
-    std::lock_guard<std::mutex> g(mu_);
-    auto it = lists_.find(child);
-    if (it == lists_.end()) return;
-    if (it->second.erase(old_parent) > 0) it->second.insert(new_parent);
-  }
-
   std::vector<ObjectId> Get(ObjectId child) const {
     std::lock_guard<std::mutex> g(mu_);
     auto it = lists_.find(child);

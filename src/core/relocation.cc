@@ -91,12 +91,12 @@ Status RewriteParentEdge(const ReorgContext& ctx, Transaction* txn,
   size_t added = 0;
   for (size_t i = 0; i < slots.size(); ++i) {
     if (parent.partition() != reorg_partition) {
-      if (ctx.erts->For(reorg_partition).RemoveRef(oid, parent, "rewrite")) {
+      if (ctx.erts->For(reorg_partition).RemoveRef(oid, parent)) {
         ++removed;
       }
     }
     if (parent.partition() != onew.partition()) {
-      ctx.erts->For(onew.partition()).AddRef(onew, parent, "rewrite");
+      ctx.erts->For(onew.partition()).AddRef(onew, parent);
       ++added;
     }
   }
@@ -109,12 +109,10 @@ Status RewriteParentEdge(const ReorgContext& ctx, Transaction* txn,
     sel->Record(txn->id(), SideEffectLog::Kind::kErtAdjust,
                 [erts, oid, onew, parent, reorg_partition, removed, added] {
                   for (size_t i = 0; i < added; ++i) {
-                    erts->For(onew.partition())
-                        .RemoveRef(onew, parent, "undo-rewrite");
+                    erts->For(onew.partition()).RemoveRef(onew, parent);
                   }
                   for (size_t i = 0; i < removed; ++i) {
-                    erts->For(reorg_partition)
-                        .AddRef(oid, parent, "undo-rewrite");
+                    erts->For(reorg_partition).AddRef(oid, parent);
                   }
                 });
   }
@@ -187,7 +185,7 @@ Status FinishMigration(const ReorgContext& ctx, Transaction* txn,
     for (ObjectId child : refs_of_new) {
       if (!child.valid() || child == onew) continue;
       if (child.partition() != onew.partition()) {
-        ctx.erts->For(child.partition()).AddRef(child, onew, "finish-new");
+        ctx.erts->For(child.partition()).AddRef(child, onew);
         ert_added.push_back(child);
       }
       if (child.partition() == reorg_partition && plists != nullptr &&
@@ -200,8 +198,7 @@ Status FinishMigration(const ReorgContext& ctx, Transaction* txn,
       sel->Record(txn->id(), SideEffectLog::Kind::kErtAdjust,
                   [erts, plists, onew, ert_added, plist_added] {
                     for (ObjectId child : ert_added) {
-                      erts->For(child.partition())
-                          .RemoveRef(child, onew, "undo-finish-new");
+                      erts->For(child.partition()).RemoveRef(child, onew);
                     }
                     for (ObjectId child : plist_added) {
                       plists->RemoveParent(child, onew);
@@ -217,8 +214,7 @@ Status FinishMigration(const ReorgContext& ctx, Transaction* txn,
     for (ObjectId child : refs_of_old) {
       if (!child.valid() || child == oid) continue;
       if (child.partition() != reorg_partition) {
-        if (ctx.erts->For(child.partition())
-                .RemoveRef(child, oid, "finish-old")) {
+        if (ctx.erts->For(child.partition()).RemoveRef(child, oid)) {
           ert_removed.push_back(child);
         }
       }
@@ -232,8 +228,7 @@ Status FinishMigration(const ReorgContext& ctx, Transaction* txn,
       sel->Record(txn->id(), SideEffectLog::Kind::kErtAdjust,
                   [erts, plists, oid, ert_removed, plist_removed] {
                     for (ObjectId child : ert_removed) {
-                      erts->For(child.partition())
-                          .AddRef(child, oid, "undo-finish-old");
+                      erts->For(child.partition()).AddRef(child, oid);
                     }
                     for (ObjectId child : plist_removed) {
                       plists->AddParent(child, oid);
@@ -359,7 +354,7 @@ Status CompleteInterruptedMigration(const ReorgContext& ctx, ObjectId old_id,
   if (ReadRefsLatched(ctx.store, old_id, &refs)) {
     for (ObjectId child : refs) {
       if (child.partition() != p) {
-        ctx.erts->For(child.partition()).RemoveRef(child, old_id, "complete");
+        ctx.erts->For(child.partition()).RemoveRef(child, old_id);
       }
     }
   }

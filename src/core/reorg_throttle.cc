@@ -13,17 +13,18 @@ ReorgThrottle::ReorgThrottle(const ReorgThrottleOptions& options)
 
 void ReorgThrottle::Record(double latency_ms) {
   std::lock_guard<std::mutex> g(mu_);
+  if (window_.count() == ring_.size()) window_.Remove(ring_[ring_next_]);
   ring_[ring_next_] = latency_ms;
+  window_.Add(latency_ms);
   ring_next_ = (ring_next_ + 1) % ring_.size();
-  ring_filled_ = std::min(ring_filled_ + 1, ring_.size());
   if (++since_eval_ < std::max<size_t>(opts_.eval_every, 1)) return;
   since_eval_ = 0;
   EvaluateLocked();
 }
 
 void ReorgThrottle::EvaluateLocked() {
-  if (pipe_ == nullptr || ring_filled_ == 0) return;
-  const double p99 = WindowP99Locked();
+  if (pipe_ == nullptr || window_.count() == 0) return;
+  const double p99 = window_.Percentile(0.99);
   const double target = opts_.slo_p99_ms * opts_.setpoint_fraction;
   uint32_t cap = cap_;
   if (p99 > target) {
@@ -49,18 +50,6 @@ void ReorgThrottle::EvaluateLocked() {
     cap_ = cap;
     pipe_->SetWorkerCap(cap);
   }
-}
-
-double ReorgThrottle::WindowP99Locked() const {
-  if (ring_filled_ == 0) return 0;
-  std::vector<double> sorted(ring_.begin(),
-                             ring_.begin() + static_cast<long>(ring_filled_));
-  std::sort(sorted.begin(), sorted.end());
-  const double idx = 0.99 * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(idx);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 void ReorgThrottle::AttachPipe(MigrationPipe* pipe, uint32_t max_workers) {
@@ -103,7 +92,7 @@ uint64_t ReorgThrottle::boosts() const {
 
 double ReorgThrottle::WindowP99() const {
   std::lock_guard<std::mutex> g(mu_);
-  return WindowP99Locked();
+  return window_.Percentile(0.99);
 }
 
 }  // namespace brahma

@@ -5,6 +5,8 @@
 #include <mutex>
 #include <vector>
 
+#include "common/histogram.h"
+
 namespace brahma {
 
 class MigrationPipe;
@@ -37,8 +39,8 @@ struct ReorgThrottleOptions {
   uint32_t boost_hold = 1;
   // Sliding window of the most recent user-op latencies the p99 is
   // computed over, and how many new samples arrive between control
-  // decisions (an evaluation sorts the window; 1/8 of the window keeps
-  // that amortized and the controller responsive).
+  // decisions (an evaluation scans the window's histogram buckets; 1/8
+  // of the window keeps the controller responsive).
   size_t window = 1024;
   size_t eval_every = 128;
   // Floor for the worker cap. 1 keeps the reorganization progressing
@@ -90,13 +92,14 @@ class ReorgThrottle {
 
  private:
   void EvaluateLocked();
-  double WindowP99Locked() const;
 
   const ReorgThrottleOptions opts_;
   mutable std::mutex mu_;
+  // The window: the ring holds its samples in arrival order so the
+  // oldest can leave the histogram as a new one enters.
   std::vector<double> ring_;
   size_t ring_next_ = 0;
-  size_t ring_filled_ = 0;
+  Histogram window_;
   size_t since_eval_ = 0;
   MigrationPipe* pipe_ = nullptr;
   uint32_t max_workers_ = 0;

@@ -16,7 +16,7 @@
 namespace brahma {
 
 // Counters surfaced by the corruption-aware recovery scan (DESIGN.md
-// §12). Folded into ReorgStats by Database::Recover.
+// §12). Database::Recover accumulates them in Database::scrub().
 struct ScrubReport {
   uint64_t segments_scanned = 0;
   uint64_t wal_records_verified = 0;

@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <functional>
 
-#include "common/stats.h"
+#include "common/histogram.h"
 #include "core/database.h"
 #include "workload/graph_builder.h"
 
@@ -13,7 +13,7 @@ namespace brahma {
 
 // Aggregate result of one driver run.
 struct DriverResult {
-  SampleStats response_ms;  // per committed logical transaction
+  Histogram response_ms;  // per committed logical transaction
   uint64_t committed = 0;
   uint64_t timeout_aborts = 0;  // attempts aborted by lock timeout
   uint64_t other_aborts = 0;

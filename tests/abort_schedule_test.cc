@@ -126,10 +126,11 @@ void RunAbortHaltSchedule(bool two_lock, const std::string& site) {
   CopyOutPlanner planner(5);
   ReorgStats stats;
   IraReorganizer ira(db.reorg_context());
+  const uint64_t faults_before = FailPoints::Instance().total_triggered();
   Status s = ira.Run(1, &planner, opt, &stats);
   mutators.StopAndJoin();
   ASSERT_TRUE(s.IsRetryExhausted()) << s.ToString();
-  EXPECT_GT(stats.faults_injected, 0u);
+  EXPECT_GT(FailPoints::Instance().total_triggered(), faults_before);
   EXPECT_GE(stats.aborts_rolled_back, 1u);
   FailPoints::Instance().Reset();
 
@@ -217,12 +218,15 @@ void RunAbortRequeueSchedule(bool two_lock, const std::string& site) {
   CopyOutPlanner planner(5);
   ReorgStats stats;
   IraReorganizer ira(db.reorg_context());
+  const uint64_t faults_before = FailPoints::Instance().total_triggered();
   Status s = ira.Run(1, &planner, opt, &stats);
   mutators.StopAndJoin();
+  const uint64_t faults =
+      FailPoints::Instance().total_triggered() - faults_before;
   FailPoints::Instance().Reset();
 
   ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(stats.faults_injected, 1u);
+  EXPECT_EQ(faults, 1u);
   EXPECT_GE(stats.aborts_rolled_back, 1u);
 
   db.analyzer().Sync();

@@ -1,14 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <random>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/histogram.h"
 #include "common/latch.h"
 #include "common/random.h"
-#include "common/stats.h"
 #include "common/status.h"
 
 namespace brahma {
@@ -87,55 +89,151 @@ TEST(RandomTest, NextDoubleInUnitInterval) {
   }
 }
 
-TEST(SampleStatsTest, Empty) {
-  SampleStats s;
-  EXPECT_EQ(s.count(), 0);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-  EXPECT_EQ(s.max(), 0.0);
-  EXPECT_EQ(s.Percentile(0.5), 0.0);
+// Nearest-rank percentile of an exact sample, the quantity
+// Histogram::Percentile approximates.
+double ExactNearestRank(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  size_t rank =
+      static_cast<size_t>(std::ceil(q * static_cast<double>(v.size())));
+  rank = std::clamp<size_t>(rank, 1, v.size());
+  return v[rank - 1];
 }
 
-TEST(SampleStatsTest, MeanMaxMin) {
-  SampleStats s;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) s.Add(v);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_EQ(s.count(), 4);
+// One bucket's relative width, plus one tick of quantization.
+double BucketError(double exact) {
+  return exact / Histogram::kSub + 1.0 / Histogram::kTicksPerUnit;
 }
 
-TEST(SampleStatsTest, Stddev) {
-  SampleStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(v);
-  EXPECT_NEAR(s.stddev(), 2.138, 0.001);  // sample stddev
+void ExpectWithinBucketError(const std::vector<double>& samples) {
+  Histogram h;
+  for (double s : samples) h.Add(s);
+  ASSERT_EQ(h.count(), samples.size());
+  for (double q : {0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    const double exact = ExactNearestRank(samples, q);
+    EXPECT_NEAR(h.Percentile(q), exact, BucketError(exact)) << "q=" << q;
+  }
 }
 
-TEST(SampleStatsTest, Percentiles) {
-  SampleStats s;
-  for (int i = 1; i <= 100; ++i) s.Add(i);
-  EXPECT_NEAR(s.Percentile(0.0), 1.0, 1e-9);
-  EXPECT_NEAR(s.Percentile(1.0), 100.0, 1e-9);
-  EXPECT_NEAR(s.Percentile(0.5), 50.5, 1e-9);
-  EXPECT_NEAR(s.Percentile(0.9), 90.1, 0.2);
+TEST(HistogramTest, Empty) {
+  Histogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.mean(), 0.0);
+  EXPECT_EQ(h.stddev(), 0.0);
+  EXPECT_EQ(h.min(), 0.0);
+  EXPECT_EQ(h.max(), 0.0);
+  EXPECT_EQ(h.Percentile(0.5), 0.0);
+  EXPECT_EQ(h.MeanOfTop(10), 0.0);
 }
 
-TEST(SampleStatsTest, MeanOfTop) {
-  SampleStats s;
-  for (int i = 1; i <= 10; ++i) s.Add(i);
-  EXPECT_DOUBLE_EQ(s.MeanOfTop(3), 9.0);  // (10+9+8)/3
-  EXPECT_DOUBLE_EQ(s.MeanOfTop(100), 5.5);
+TEST(HistogramTest, ExactMeanMaxMin) {
+  Histogram h;
+  for (double v : {1.25, 2.0, 3.0, 4.5}) h.Add(v);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_DOUBLE_EQ(h.mean(), 2.6875);
+  EXPECT_DOUBLE_EQ(h.max(), 4.5);
+  EXPECT_DOUBLE_EQ(h.min(), 1.25);
 }
 
-TEST(SampleStatsTest, Merge) {
-  SampleStats a, b;
-  a.Add(1);
-  a.Add(2);
-  b.Add(3);
-  b.Add(4);
+TEST(HistogramTest, ExactStddev) {
+  Histogram h;
+  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) h.Add(v);
+  EXPECT_NEAR(h.stddev(), std::sqrt(32.0 / 7.0), 1e-12);  // sample stddev
+}
+
+TEST(HistogramTest, PercentilesWithinBucketError) {
+  Histogram h;
+  for (int i = 1; i <= 100; ++i) h.Add(i);
+  EXPECT_NEAR(h.Percentile(0.0), 1.0, BucketError(1.0));
+  EXPECT_NEAR(h.Percentile(0.5), 50.0, BucketError(50.0));
+  EXPECT_NEAR(h.Percentile(0.9), 90.0, BucketError(90.0));
+  EXPECT_NEAR(h.Percentile(1.0), 100.0, BucketError(100.0));
+  EXPECT_LE(h.Percentile(1.0), h.max());  // clamped to the observed range
+}
+
+TEST(HistogramTest, MeanOfTopWithinBucketError) {
+  Histogram h;
+  for (int i = 1; i <= 10; ++i) h.Add(i);
+  EXPECT_NEAR(h.MeanOfTop(3), 9.0, BucketError(9.0));  // (10+9+8)/3
+  EXPECT_NEAR(h.MeanOfTop(100), 5.5, BucketError(5.5));
+}
+
+TEST(HistogramTest, MergeEqualsSingleHistogram) {
+  std::mt19937_64 rng(3);
+  std::exponential_distribution<double> d(1.0);  // ~1 ms mean
+  Histogram all, a, b;
+  std::vector<double> v(50000);
+  for (size_t i = 0; i < v.size(); ++i) {
+    v[i] = d(rng);
+    all.Add(v[i]);
+    (i % 2 == 0 ? a : b).Add(v[i]);
+  }
   a.Merge(b);
-  EXPECT_EQ(a.count(), 4);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.5);
+  EXPECT_EQ(a.count(), all.count());
+  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
+  EXPECT_NEAR(a.stddev(), all.stddev(), 1e-9);
+  EXPECT_EQ(a.min(), all.min());
+  EXPECT_EQ(a.max(), all.max());
+  for (double q : {0.5, 0.99}) EXPECT_EQ(a.Percentile(q), all.Percentile(q));
+  ExpectWithinBucketError(v);
+}
+
+TEST(HistogramTest, BucketsAreContiguousAndBounded) {
+  for (uint64_t t = 0; t < (uint64_t{1} << 16); ++t) {
+    const size_t b = Histogram::BucketOf(t);
+    ASSERT_LT(b, Histogram::kBuckets);
+    ASSERT_GE(t, Histogram::BucketLow(b));
+    ASSERT_LT(t, Histogram::BucketLow(b) + Histogram::BucketWidth(b));
+    if (t >= 64) {
+      ASSERT_LE(Histogram::BucketWidth(b) * Histogram::kSub,
+                Histogram::BucketLow(b));
+    }
+  }
+  EXPECT_LT(Histogram::BucketOf(UINT64_MAX), Histogram::kBuckets);
+}
+
+TEST(HistogramTest, UniformMilliseconds) {
+  std::mt19937_64 rng(1);
+  std::uniform_real_distribution<double> d(0.001, 5000.0);
+  std::vector<double> v(100000);
+  for (auto& x : v) x = d(rng);
+  ExpectWithinBucketError(v);
+}
+
+TEST(HistogramTest, HeavyTailedLatencies) {
+  std::mt19937_64 rng(2);
+  std::lognormal_distribution<double> d(0.2, 1.0);  // ~1.2 ms median
+  std::vector<double> v(200000);
+  for (auto& x : v) x = d(rng);
+  ExpectWithinBucketError(v);
+}
+
+TEST(HistogramTest, SmallSamplesStayWithinOneTick) {
+  std::vector<double> v;
+  for (int i = 0; i < 64; ++i) v.push_back(i / Histogram::kTicksPerUnit);
+  Histogram h;
+  for (double s : v) h.Add(s);
+  const double tick = 1.0 / Histogram::kTicksPerUnit;
+  EXPECT_NEAR(h.Percentile(0.5), ExactNearestRank(v, 0.5), tick);
+  EXPECT_EQ(h.Percentile(1.0), v.back());
+}
+
+TEST(HistogramTest, RemoveTakesSamplesBack) {
+  Histogram h, kept;
+  for (int i = 1; i <= 200; ++i) {
+    h.Add(i);
+    if (i > 100) kept.Add(i);
+  }
+  for (int i = 1; i <= 100; ++i) h.Remove(i);
+  EXPECT_EQ(h.count(), kept.count());
+  EXPECT_NEAR(h.mean(), kept.mean(), 1e-9);
+  EXPECT_NEAR(h.stddev(), kept.stddev(), 1e-9);
+  for (double q : {0.01, 0.5, 0.99}) {
+    EXPECT_NEAR(h.Percentile(q), kept.Percentile(q),
+                BucketError(kept.Percentile(q)));
+  }
+  for (int i = 101; i <= 200; ++i) h.Remove(i);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.Percentile(0.99), 0.0);
 }
 
 TEST(SharedLatchTest, ExclusiveBlocksReaders) {

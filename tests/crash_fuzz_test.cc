@@ -354,8 +354,7 @@ std::string RunSeed(uint64_t seed, testing::ScopedTempDir* dir) {
                  static_cast<unsigned long long>(seed), crashed ? 1 : 0,
                  fault_fired ? 1 : 0, post_fault ? 1 : 0);
   }
-  ReorgStats rstats;
-  Status rs = db.Recover(&rstats);
+  Status rs = db.Recover();
   const bool any_fault = fault_fired || post_fault;
   if (!rs.ok()) {
     if (!rs.IsCorrupted()) {

@@ -131,10 +131,11 @@ void RunCrashSchedule(bool two_lock, const std::string& site,
   CopyOutPlanner planner(5);
   ReorgStats stats;
   IraReorganizer ira(db.reorg_context());
+  const uint64_t faults_before = FailPoints::Instance().total_triggered();
   Status s = ira.Run(1, &planner, opt, &stats);
   mutators.StopAndJoin();
   ASSERT_TRUE(s.IsCrashed()) << s.ToString();
-  EXPECT_GT(stats.faults_injected, 0u);
+  EXPECT_GT(FailPoints::Instance().total_triggered(), faults_before);
   FailPoints::Instance().Reset();
 
   // The process "died"; volatile state goes away, restart recovery runs.

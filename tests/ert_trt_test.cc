@@ -215,8 +215,8 @@ TEST(ErtTest, ConcurrentEraseReinsertKeepsMultiplicityExact) {
       size_t i = static_cast<size_t>(t);
       while (!stop.load(std::memory_order_relaxed)) {
         ObjectId child = children[i++ % children.size()];
-        if (ert.RemoveRef(child, ObjectId(3, 64), "churn")) {
-          ert.AddRef(child, ObjectId(3, 64), "churn");
+        if (ert.RemoveRef(child, ObjectId(3, 64))) {
+          ert.AddRef(child, ObjectId(3, 64));
         }
       }
     });
@@ -228,8 +228,8 @@ TEST(ErtTest, ConcurrentEraseReinsertKeepsMultiplicityExact) {
       const ObjectId parent(2, 64 * (t + 1));
       for (int iter = 0; iter < 4000; ++iter) {
         ObjectId child = children[static_cast<size_t>(iter) % children.size()];
-        ert.AddRef(child, parent, "feed");
-        EXPECT_TRUE(ert.RemoveRef(child, parent, "feed"));
+        ert.AddRef(child, parent);
+        EXPECT_TRUE(ert.RemoveRef(child, parent));
       }
     });
   }
@@ -303,8 +303,8 @@ TEST(ErtSetTest, EraseReinsertUnderConcurrentAnalyzerFeed) {
   testing::SlotSwapMutators mutators(&db, 2, /*threads=*/2);
   for (int iter = 0; iter < 2000; ++iter) {
     for (const auto& [child, parent] : churn) {
-      if (ert1.RemoveRef(child, parent, "churn")) {
-        ert1.AddRef(child, parent, "churn");
+      if (ert1.RemoveRef(child, parent)) {
+        ert1.AddRef(child, parent);
       }
     }
   }

@@ -5,11 +5,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -587,6 +590,34 @@ TEST(ReorgThrottleTest, ShedsAndBoostsAgainstPipe) {
   throttle.DetachPipe(&pipe);
   EXPECT_EQ(pipe.worker_cap(), 0xFFFFFFFFu);
   pipe.Stop(Status::Ok());
+}
+
+// The window p99 tracks the ring after it wraps: samples leaving the
+// ring leave the histogram too, so a tail that scrolled out of the
+// window no longer counts. Checked against a sorted copy of the window.
+TEST(ReorgThrottleTest, WindowP99FollowsRingAfterWrap) {
+  ReorgThrottleOptions topt;
+  topt.window = 64;
+  ReorgThrottle throttle(topt);
+  std::vector<double> all;
+  std::mt19937_64 rng(11);
+  std::lognormal_distribution<double> slow(4.0, 0.5);  // ~55 ms
+  std::lognormal_distribution<double> fast(0.0, 0.5);  // ~1 ms
+  for (int i = 0; i < 64 * 5 + 17; ++i) {
+    all.push_back(i < 100 ? slow(rng) : fast(rng));
+    throttle.Record(all.back());
+    std::vector<double> window(
+        all.end() - std::min<long>(static_cast<long>(all.size()), 64),
+        all.end());
+    std::sort(window.begin(), window.end());
+    const size_t rank = static_cast<size_t>(
+        std::ceil(0.99 * static_cast<double>(window.size())));
+    const double exact = window[std::max<size_t>(rank, 1) - 1];
+    ASSERT_NEAR(throttle.WindowP99(), exact,
+                exact / Histogram::kSub + 1.0 / Histogram::kTicksPerUnit)
+        << "after sample " << i;
+  }
+  EXPECT_LT(throttle.WindowP99(), 10.0);  // the slow phase scrolled out
 }
 
 // Pace mode (min_workers = 0): sustained SLO violation parks the whole

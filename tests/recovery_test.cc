@@ -365,10 +365,12 @@ TEST_F(DiskRecoveryTest, TornTailPastStableFloorIsTruncated) {
     EXPECT_GT(MediaFaultInjector::Instance().faults_injected(), faults_before);
 
     d.db->SimulateCrash();
-    ReorgStats rs;
-    ASSERT_TRUE(d.db->Recover(&rs).ok());
-    EXPECT_GE(rs.torn_tails_truncated, 1u);
-    EXPECT_GE(rs.wal_records_verified, 1u);
+    const ScrubReport before = d.db->scrub();
+    ASSERT_TRUE(d.db->Recover().ok());
+    EXPECT_GE(d.db->scrub().torn_tails_truncated - before.torn_tails_truncated,
+              1u);
+    EXPECT_GE(d.db->scrub().wal_records_verified - before.wal_records_verified,
+              1u);
     EXPECT_EQ(d.DataByte(a), 0x22);  // acknowledged write survived
     // The store is fully usable after the truncated recovery.
     ASSERT_TRUE(d.WriteCommitted(a, 0x44).ok());
@@ -390,8 +392,7 @@ TEST_F(DiskRecoveryTest, TornTailBelowStableFloorIsCorrupted) {
   ASSERT_TRUE(
       InjectFileFault(d.WalSegment(true), FileFaultKind::kTruncateAt, 45)
           .ok());
-  ReorgStats rs;
-  Status s = d.db->Recover(&rs);
+  Status s = d.db->Recover();
   EXPECT_TRUE(s.IsCorrupted()) << s.ToString();
 }
 
@@ -416,7 +417,7 @@ TEST_F(DiskRecoveryTest, BitFlipMidLogIsCorrupted) {
     ASSERT_TRUE(
         InjectFileFault(first_seg, FileFaultKind::kBitFlip, 2000 * 8 + 3)
             .ok());
-    Status s = d.db->Recover(nullptr);
+    Status s = d.db->Recover();
     EXPECT_TRUE(s.IsCorrupted()) << s.ToString();
   }
 }
@@ -439,7 +440,7 @@ TEST_F(DiskRecoveryTest, FailedFsyncCommitNotAcknowledged) {
     FailPoints::Instance().Reset();
 
     d.db->SimulateCrash();
-    ASSERT_TRUE(d.db->Recover(nullptr).ok());
+    ASSERT_TRUE(d.db->Recover().ok());
     uint8_t v = d.DataByte(a);
     EXPECT_TRUE(v == 0x11 || v == 0x22) << static_cast<int>(v);
     EXPECT_EQ(testing::CountDanglingRefs(&d.db->store()), 0);
@@ -463,11 +464,11 @@ TEST_F(DiskRecoveryTest, RecoveredLoserStaysUndoneAcrossSecondRestart) {
     loser->Abandon();
   }
   d.db->SimulateCrash();
-  ASSERT_TRUE(d.db->Recover(nullptr).ok());
+  ASSERT_TRUE(d.db->Recover().ok());
   EXPECT_EQ(d.DataByte(a), 0x11);
   ASSERT_TRUE(d.WriteCommitted(a, 0x44).ok());
   d.db->SimulateCrash();
-  ASSERT_TRUE(d.db->Recover(nullptr).ok());
+  ASSERT_TRUE(d.db->Recover().ok());
   EXPECT_EQ(d.DataByte(a), 0x44);
 }
 
@@ -493,12 +494,12 @@ TEST_F(DiskRecoveryTest, FailedPostUndoForceFailsRecovery) {
   ASSERT_TRUE(FailPoints::Instance()
                   .ArmFromString("media:wal:fsync=error(io)")
                   .ok());
-  Status s = d.db->Recover(nullptr);
+  Status s = d.db->Recover();
   EXPECT_FALSE(s.ok()) << "recovery acknowledged an undo it never forced";
   FailPoints::Instance().Reset();
 
   d.db->SimulateCrash();
-  ASSERT_TRUE(d.db->Recover(nullptr).ok());
+  ASSERT_TRUE(d.db->Recover().ok());
   EXPECT_EQ(d.DataByte(a), 0x11);
   EXPECT_EQ(d.DataByte(b), 0x22);
 }
@@ -518,9 +519,9 @@ TEST_F(DiskRecoveryTest, StaleCheckpointGenerationFallback) {
   d.db->SimulateCrash();
   ASSERT_TRUE(
       InjectFileFault(d.CkptPath(2), FileFaultKind::kBitFlip, 777).ok());
-  ReorgStats rs;
-  ASSERT_TRUE(d.db->Recover(&rs).ok());
-  EXPECT_EQ(rs.checkpoint_generations_discarded, 1u);
+  uint64_t discarded = d.db->scrub().checkpoint_generations_discarded;
+  ASSERT_TRUE(d.db->Recover().ok());
+  EXPECT_EQ(d.db->scrub().checkpoint_generations_discarded - discarded, 1u);
   EXPECT_EQ(d.DataByte(a), 0x33);
 
   // Corrupt both generations: recovery proceeds from the log alone (the
@@ -528,9 +529,9 @@ TEST_F(DiskRecoveryTest, StaleCheckpointGenerationFallback) {
   d.db->SimulateCrash();
   ASSERT_TRUE(
       InjectFileFault(d.CkptPath(1), FileFaultKind::kBitFlip, 555).ok());
-  ReorgStats rs2;
-  ASSERT_TRUE(d.db->Recover(&rs2).ok());
-  EXPECT_EQ(rs2.checkpoint_generations_discarded, 2u);
+  discarded = d.db->scrub().checkpoint_generations_discarded;
+  ASSERT_TRUE(d.db->Recover().ok());
+  EXPECT_EQ(d.db->scrub().checkpoint_generations_discarded - discarded, 2u);
   EXPECT_EQ(d.DataByte(a), 0x33);
   EXPECT_EQ(testing::CountDanglingRefs(&d.db->store()), 0);
 }
@@ -552,8 +553,7 @@ TEST_F(DiskRecoveryTest, CrashDuringCheckpointPublishKeepsPriorImage) {
   FailPoints::Instance().Reset();
 
   d.db->SimulateCrash();
-  ReorgStats rs;
-  ASSERT_TRUE(d.db->Recover(&rs).ok());
+  ASSERT_TRUE(d.db->Recover().ok());
   EXPECT_EQ(d.DataByte(a), 0x22);  // redone from generation 1's floor
   ASSERT_TRUE(d.WriteCommitted(a, 0x33).ok());
   // The next checkpoint publishes cleanly over the failed attempt.
