@@ -86,8 +86,6 @@ void Run() {
                static_cast<double>(r.counters.group_commit_batches));
       json.Add("forces_absorbed",
                static_cast<double>(r.counters.forces_absorbed));
-      json.Add("wal_records_verified",
-               static_cast<double>(r.counters.wal_records_verified));
       json.Add("reorg_ok", r.reorg_status.ok() ? 1 : 0);
       RemoveDirRecursive(wal_dir);
     }

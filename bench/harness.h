@@ -95,19 +95,17 @@ struct ExperimentConfig {
 };
 
 // Database-wide counters owned by the log, the lock manager, the epoch
-// manager, the buffer pool and the recovery scrub. A bench reports them
-// as deltas over the reorganization run: whatever any thread did while
-// the run overlapped it (user commits that batched with the reorg's
-// forces, cycles a user transaction broke against it, fsyncs, page
-// traffic) is attributed to the run. kInMemory durability and kMemory
-// data contribute zeros.
+// manager and the buffer pool. A bench reports them as deltas over the
+// reorganization run: whatever any thread did while the run overlapped
+// it (user commits that batched with the reorg's forces, cycles a user
+// transaction broke against it, fsyncs, page traffic) is attributed to
+// the run. kInMemory durability and kMemory data contribute zeros.
 struct RunCounters {
   uint64_t group_commit_batches = 0;
   uint64_t forces_absorbed = 0;
   uint64_t group_commit_gathers = 0;
   uint64_t group_commit_gather_timeouts = 0;
   uint64_t fsyncs = 0;
-  uint64_t wal_records_verified = 0;
   uint64_t deadlocks_detected = 0;
   uint64_t victims_aborted = 0;
   uint64_t victim_wait_ms_saved = 0;
@@ -126,7 +124,6 @@ inline RunCounters ReadRunCounters(Database& db) {
   c.group_commit_gathers = db.log().group_commit_gathers();
   c.group_commit_gather_timeouts = db.log().group_commit_gather_timeouts();
   c.fsyncs = db.log().fsyncs();
-  c.wal_records_verified = db.scrub().wal_records_verified;
   c.deadlocks_detected = db.locks().deadlocks_detected();
   c.victims_aborted = db.locks().victims_aborted();
   c.victim_wait_ms_saved = db.locks().victim_wait_saved_ms();
@@ -149,7 +146,6 @@ inline RunCounters RunCountersSince(const RunCounters& before, Database& db) {
   d.group_commit_gathers -= before.group_commit_gathers;
   d.group_commit_gather_timeouts -= before.group_commit_gather_timeouts;
   d.fsyncs -= before.fsyncs;
-  d.wal_records_verified -= before.wal_records_verified;
   d.deadlocks_detected -= before.deadlocks_detected;
   d.victims_aborted -= before.victims_aborted;
   d.victim_wait_ms_saved -= before.victim_wait_ms_saved;

@@ -96,10 +96,11 @@ Database::Database(const DatabaseOptions& options) : options_(options) {
   ctx.lock_timeout = options.lock_timeout;
   ctx.strict_2pl = options.strict_2pl;
   txns_ = std::make_unique<TransactionManager>(ctx);
-  txns_->SetCompletionHook([this](TxnId txn, bool committed) {
-    trt_->OnTxnComplete(txn, committed);
-    MaybeTruncateLog();
-  });
+  txns_->SetCompletionHooks(
+      [this](TxnId txn, bool committed) {
+        trt_->OnTxnComplete(txn, committed);
+      },
+      [this] { MaybeTruncateLog(); });
 
   analyzer_->Start(options.analyzer_mode);
 }

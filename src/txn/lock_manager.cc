@@ -6,18 +6,18 @@
 
 namespace brahma {
 
-bool LockManager::TryGrant(LockEntry* entry) {
+bool LockManager::TryGrant(std::vector<Request>& requests, ObjectId oid) {
   bool changed = false;
-  auto compatible_with_holders = [entry](const Request& r) {
-    for (const Request& q : entry->queue) {
-      if (q.txn == r.txn || !q.has_held) continue;
+  auto compatible_with_holders = [&requests, oid](const Request& r) {
+    for (const Request& q : requests) {
+      if (q.oid != oid || q.txn == r.txn || !q.has_held) continue;
       if (!Compatible(q.held, r.want)) return false;
     }
     return true;
   };
   // Pass 1: upgrades (current holders waiting for a stronger mode).
-  for (Request& r : entry->queue) {
-    if (r.waiting && r.has_held && compatible_with_holders(r)) {
+  for (Request& r : requests) {
+    if (r.oid == oid && r.waiting && r.has_held && compatible_with_holders(r)) {
       r.held = r.want;
       r.waiting = false;
       changed = true;
@@ -25,8 +25,8 @@ bool LockManager::TryGrant(LockEntry* entry) {
   }
   // Pass 2: fresh waiters in FIFO order; stop at the first that cannot be
   // granted so later arrivals do not barge past it.
-  for (Request& r : entry->queue) {
-    if (!r.waiting || r.has_held) continue;
+  for (Request& r : requests) {
+    if (r.oid != oid || !r.waiting || r.has_held) continue;
     if (!compatible_with_holders(r)) break;
     r.has_held = true;
     r.held = r.want;
@@ -37,24 +37,12 @@ bool LockManager::TryGrant(LockEntry* entry) {
   return changed;
 }
 
-LockManager::Request* LockManager::FindRequest(LockEntry* entry, TxnId txn) {
-  for (Request& r : entry->queue) {
-    if (r.txn == txn) return &r;
+LockManager::Request* LockManager::FindRequest(std::vector<Request>& requests,
+                                               ObjectId oid, TxnId txn) {
+  for (Request& r : requests) {
+    if (r.oid == oid && r.txn == txn) return &r;
   }
   return nullptr;
-}
-
-LockManager::LockEntry* LockManager::EntryFor(Shard& shard, ObjectId oid) {
-  auto it = shard.entries.find(oid);
-  if (it != shard.entries.end()) return it->second.get();
-  if (shard.spare.empty()) {
-    return shard.entries.emplace(oid, std::make_unique<LockEntry>())
-        .first->second.get();
-  }
-  EntryMap::node_type node = std::move(shard.spare.back());
-  shard.spare.pop_back();
-  node.key() = oid;
-  return shard.entries.insert(std::move(node)).position->second.get();
 }
 
 void LockManager::NoteEarlyRelease(const Shard& shard, ObjectId oid,
@@ -68,32 +56,19 @@ void LockManager::NoteEarlyRelease(const Shard& shard, ObjectId oid,
   }
 }
 
-void LockManager::PruneIfEmpty(Shard& shard, EntryMap::iterator it) {
-  if (!it->second->queue.empty()) return;
-  if (shard.spare.size() < kSpareEntries) {
-    shard.spare.push_back(shard.entries.extract(it));
+void LockManager::WithdrawRequest(Shard& shard, ObjectId oid, TxnId txn) {
+  Request* r = FindRequest(shard.requests, oid, txn);
+  if (r == nullptr) return;
+  if (r->has_held) {
+    // Upgrade cancelled: fall back to the originally held mode so the
+    // transaction keeps exactly what it had before asking for more.
+    r->want = r->held;
+    r->waiting = false;
+    r->victim = false;
   } else {
-    shard.entries.erase(it);
+    shard.requests.erase(shard.requests.begin() + (r - shard.requests.data()));
   }
-}
-
-void LockManager::WithdrawRequest(Shard& shard, LockEntry* entry, ObjectId oid,
-                                  TxnId txn) {
-  for (auto it = entry->queue.begin(); it != entry->queue.end(); ++it) {
-    if (it->txn != txn) continue;
-    if (it->has_held) {
-      // Upgrade cancelled: fall back to the originally held mode so the
-      // transaction keeps exactly what it had before asking for more.
-      it->want = it->held;
-      it->waiting = false;
-      it->victim = false;
-    } else {
-      entry->queue.erase(it);
-    }
-    break;
-  }
-  if (TryGrant(entry)) entry->cv.notify_all();
-  if (entry->queue.empty()) PruneIfEmpty(shard, shard.entries.find(oid));
+  if (TryGrant(shard.requests, oid)) shard.cv.notify_all();
 }
 
 void LockManager::RegisterWaiter(TxnId txn, ObjectId oid,
@@ -128,14 +103,12 @@ void LockManager::RunDetection(TxnId self) {
   for (const auto& [t, rec] : waiting) {
     Shard& shard = ShardFor(rec.oid);
     std::lock_guard<std::mutex> l(shard.mu);
-    auto it = shard.entries.find(rec.oid);
-    if (it == shard.entries.end()) continue;
-    LockEntry* entry = it->second.get();
-    const Request* me = FindRequest(entry, t);
+    const Request* me = FindRequest(shard.requests, rec.oid, t);
     if (me == nullptr || !me->waiting || me->victim) continue;
     std::vector<TxnId> out;
     bool before_me = true;
-    for (const Request& r : entry->queue) {
+    for (const Request& r : shard.requests) {
+      if (r.oid != rec.oid) continue;
       if (r.txn == t) {
         before_me = false;
         continue;
@@ -172,16 +145,13 @@ void LockManager::RunDetection(TxnId self) {
   bool marked = false;
   {
     std::lock_guard<std::mutex> l(vshard.mu);
-    auto it = vshard.entries.find(voi);
-    if (it != vshard.entries.end()) {
-      Request* r = FindRequest(it->second.get(), victim);
-      // Only cancel a request that is still blocked: the cycle may have
-      // dissolved (grant, timeout, release) between snapshot and now.
-      if (r != nullptr && r->waiting && !r->victim) {
-        r->victim = true;
-        marked = true;
-        it->second->cv.notify_all();
-      }
+    Request* r = FindRequest(vshard.requests, voi, victim);
+    // Only cancel a request that is still blocked: the cycle may have
+    // dissolved (grant, timeout, release) between snapshot and now.
+    if (r != nullptr && r->waiting && !r->victim) {
+      r->victim = true;
+      marked = true;
+      vshard.cv.notify_all();
     }
   }
   if (marked) {
@@ -200,11 +170,8 @@ Status LockManager::Acquire(TxnId txn, ObjectId oid, LockMode mode,
   BRAHMA_FAILPOINT("lock:acquire");
   Shard& shard = ShardFor(oid);
   std::unique_lock<std::mutex> l(shard.mu);
-  // Stable across the unlocked detection passes below: this thread's own
-  // request keeps the queue non-empty, so the entry is never recycled.
-  LockEntry* entry = EntryFor(shard, oid);
 
-  Request* mine = FindRequest(entry, txn);
+  Request* mine = FindRequest(shard.requests, oid, txn);
   if (mine != nullptr && mine->has_held) {
     if (mine->held == LockMode::kExclusive || mine->held == mode) {
       return Status::Ok();  // re-entrant; already strong enough
@@ -216,8 +183,9 @@ Status LockManager::Acquire(TxnId txn, ObjectId oid, LockMode mode,
     // needed). Loop: several rivals may be queued.
     for (;;) {
       std::vector<Request*> rivals;
-      for (Request& r : entry->queue) {
-        if (r.txn != txn && r.has_held && r.waiting && !r.victim) {
+      for (Request& r : shard.requests) {
+        if (r.oid == oid && r.txn != txn && r.has_held && r.waiting &&
+            !r.victim) {
           rivals.push_back(&r);
         }
       }
@@ -250,7 +218,7 @@ Status LockManager::Acquire(TxnId txn, ObjectId oid, LockMode mode,
           break;
         }
       }
-      entry->cv.notify_all();
+      shard.cv.notify_all();
     }
     mine->want = LockMode::kExclusive;
     mine->waiting = true;
@@ -258,21 +226,23 @@ Status LockManager::Acquire(TxnId txn, ObjectId oid, LockMode mode,
     mine->profile = profile;
   } else if (mine == nullptr) {
     Request r;
+    r.oid = oid;
     r.txn = txn;
     r.held = mode;
     r.want = mode;
     r.waiting = true;
     r.profile = profile;
-    entry->queue.push_back(r);
+    mine = &shard.requests.emplace_back(r);
   } else {
     // A waiting (not yet granted) request exists; strengthen it.
     if (mode == LockMode::kExclusive) mine->want = LockMode::kExclusive;
   }
 
-  if (TryGrant(entry)) entry->cv.notify_all();
-
-  mine = FindRequest(entry, txn);
-  if (mine != nullptr && !mine->waiting) {
+  // Queueing or strengthening a request frees nobody else, so only this
+  // request can be granted here and there is no one to wake. TryGrant
+  // moves no request, so `mine` stays valid across it.
+  TryGrant(shard.requests, oid);
+  if (!mine->waiting) {
     if (history_enabled_) shard.history[oid].insert(txn);
     NoteEarlyRelease(shard, oid, released_at);
     return Status::Ok();
@@ -285,9 +255,9 @@ Status LockManager::Acquire(TxnId txn, ObjectId oid, LockMode mode,
   const auto deadline = start + timeout;
   auto next_detect = start + kDeadlockDetectGrace;
   for (;;) {
-    // Re-find every iteration: the queue vector reallocates under churn,
-    // and the shard mutex was dropped across detection passes.
-    mine = FindRequest(entry, txn);
+    // Re-find every iteration: the shard's vector reallocates under churn
+    // while this thread waits or runs a detection pass unlocked.
+    mine = FindRequest(shard.requests, oid, txn);
     if (mine == nullptr) {
       // Defensive; only this thread withdraws its own request.
       if (detect) DeregisterWaiter(txn);
@@ -308,14 +278,14 @@ Status LockManager::Acquire(TxnId txn, ObjectId oid, LockMode mode,
                                                                   now)
                 .count()));
       }
-      WithdrawRequest(shard, entry, oid, txn);
+      WithdrawRequest(shard, oid, txn);
       l.unlock();
       BRAHMA_FAILPOINT_HIT("deadlock:victim");
       return Status::DeadlockVictim("deadlock victim on " + oid.ToString());
     }
     if (now >= deadline) {
       if (detect) DeregisterWaiter(txn);
-      WithdrawRequest(shard, entry, oid, txn);
+      WithdrawRequest(shard, oid, txn);
       return Status::TimedOut("lock wait timeout on " + oid.ToString());
     }
     if (detect && now >= next_detect) {
@@ -328,8 +298,7 @@ Status LockManager::Acquire(TxnId txn, ObjectId oid, LockMode mode,
       next_detect = std::chrono::steady_clock::now() + kDeadlockDetectGrace;
       continue;  // re-read state: granted or victimized meanwhile?
     }
-    entry->cv.wait_until(l,
-                         detect ? std::min(deadline, next_detect) : deadline);
+    shard.cv.wait_until(l, detect ? std::min(deadline, next_detect) : deadline);
   }
   if (detect) DeregisterWaiter(txn);
   if (history_enabled_) shard.history[oid].insert(txn);
@@ -351,20 +320,12 @@ void LockManager::Release(TxnId txn, ObjectId oid, Lsn unstable_commit) {
       e->commit = std::max(e->commit, unstable_commit);
     }
   }
-  auto it = shard.entries.find(oid);
-  if (it == shard.entries.end()) return;
-  LockEntry* entry = it->second.get();
-  for (auto rit = entry->queue.begin(); rit != entry->queue.end(); ++rit) {
-    if (rit->txn == txn) {
-      entry->queue.erase(rit);
-      break;
-    }
-  }
-  if (entry->queue.empty()) {
-    PruneIfEmpty(shard, it);
-    return;
-  }
-  if (TryGrant(entry)) entry->cv.notify_all();
+  Request* r = FindRequest(shard.requests, oid, txn);
+  if (r == nullptr) return;
+  // Erase in place: a swap-remove would move another object's request
+  // ahead of its own queue.
+  shard.requests.erase(shard.requests.begin() + (r - shard.requests.data()));
+  if (TryGrant(shard.requests, oid)) shard.cv.notify_all();
 }
 
 void LockManager::ForgetEarlyReleases(const std::vector<ObjectId>& oids,
@@ -386,10 +347,8 @@ void LockManager::ForgetEarlyReleases(const std::vector<ObjectId>& oids,
 bool LockManager::IsHeld(TxnId txn, ObjectId oid, LockMode* mode) const {
   const Shard& shard = ShardFor(oid);
   std::unique_lock<std::mutex> l(shard.mu);
-  auto it = shard.entries.find(oid);
-  if (it == shard.entries.end()) return false;
-  for (const Request& r : it->second->queue) {
-    if (r.txn == txn && r.has_held) {
+  for (const Request& r : shard.requests) {
+    if (r.oid == oid && r.txn == txn && r.has_held) {
       if (mode != nullptr) *mode = r.held;
       return true;
     }
@@ -401,7 +360,14 @@ size_t LockManager::NumLockedObjects() const {
   size_t n = 0;
   for (const Shard& shard : shards_) {
     std::unique_lock<std::mutex> l(shard.mu);
-    n += shard.entries.size();
+    // Count each object at its first request.
+    for (auto it = shard.requests.begin(); it != shard.requests.end(); ++it) {
+      ObjectId oid = it->oid;
+      if (std::none_of(shard.requests.begin(), it,
+                       [oid](const Request& r) { return r.oid == oid; })) {
+        ++n;
+      }
+    }
   }
   return n;
 }
@@ -422,8 +388,7 @@ std::vector<TxnId> LockManager::HistoricalHolders(ObjectId oid,
 void LockManager::ClearAllState() {
   for (Shard& shard : shards_) {
     std::unique_lock<std::mutex> l(shard.mu);
-    shard.entries.clear();
-    shard.spare.clear();
+    shard.requests.clear();
     shard.early.clear();
     shard.history.clear();
   }

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -123,8 +122,15 @@ class LockManager {
   // blocked in Acquire when this is called.
   void ClearAllState();
 
+  // Enough shards that the few dozen objects concurrent transactions
+  // lock rarely share one (DESIGN.md §10); about 0.2 MiB of shards. An
+  // object's shard is ObjectIdHash{}(oid) % kNumShards.
+  static constexpr size_t kNumShards = 1024;
+
  private:
+  // One lock request; see Shard for how they are kept.
   struct Request {
+    ObjectId oid;
     TxnId txn;
     bool has_held = false;
     LockMode held = LockMode::kShared;
@@ -137,13 +143,6 @@ class LockManager {
     WaiterProfile profile;
   };
 
-  struct LockEntry {
-    std::vector<Request> queue;
-    std::condition_variable cv;
-  };
-
-  using EntryMap = std::unordered_map<ObjectId, std::unique_ptr<LockEntry>>;
-
   // An early release (see Release): the object and the releaser's commit
   // LSN.
   struct EarlyRelease {
@@ -152,19 +151,19 @@ class LockManager {
   };
 
   // One cache line (or more) per shard, so two cores locking objects in
-  // different shards never write the same line. An entry whose queue
-  // empties is parked in `spare` (map node, entry and queue capacity
-  // intact) and handed to the next object that needs one, up to
-  // kSpareEntries per shard. An entry is only recycled with an empty
-  // queue, and a thread waiting on its cv always has its own request
-  // queued, so a waiter never sees its entry reused under it. `early`
-  // holds the shard's early releases whose commits are not yet known
-  // stable: a few, each dropped by its releaser after its force, so a
-  // flat vector scanned on grant.
+  // different shards never write the same line. `requests` holds every
+  // request on the shard's objects in arrival order, so an object's FIFO
+  // queue is its subsequence. It is erased in place, never swap-removed,
+  // so each queue keeps its order; a waiter re-finds its request after
+  // every wait, since the vector may have reallocated meanwhile. `cv` is shared by every waiter in the
+  // shard: a wakeup meant for another object is re-checked and slept
+  // through. `early` holds the shard's early releases whose commits are
+  // not yet known stable: a few, each dropped by its releaser after its
+  // force, so a flat vector scanned on grant.
   struct alignas(64) Shard {
     mutable std::mutex mu;
-    EntryMap entries;
-    std::vector<EntryMap::node_type> spare;
+    std::condition_variable cv;
+    std::vector<Request> requests;
     std::vector<EarlyRelease> early;
     std::unordered_map<ObjectId, std::unordered_set<TxnId>> history;
   };
@@ -177,11 +176,6 @@ class LockManager {
     WaiterProfile profile;
   };
 
-  // Enough shards that the few dozen objects concurrent transactions
-  // lock rarely share one (DESIGN.md §10); about 0.2 MiB of shards.
-  static constexpr size_t kNumShards = 1024;
-  static constexpr size_t kSpareEntries = 2;
-
   Shard& ShardFor(ObjectId oid) {
     return shards_[ObjectIdHash{}(oid) % kNumShards];
   }
@@ -193,31 +187,24 @@ class LockManager {
     return a == LockMode::kShared && b == LockMode::kShared;
   }
 
-  // Grants whatever can be granted; returns true if anything changed.
-  // Caller holds the shard mutex.
-  static bool TryGrant(LockEntry* entry);
+  // Grants whatever of oid's queue can be granted; returns true if
+  // anything changed. Caller holds the shard mutex.
+  static bool TryGrant(std::vector<Request>& requests, ObjectId oid);
 
-  static Request* FindRequest(LockEntry* entry, TxnId txn);
+  static Request* FindRequest(std::vector<Request>& requests, ObjectId oid,
+                              TxnId txn);
 
-  // The entry for oid, created (from a spare if one is parked) when the
-  // object has none. Caller holds the shard mutex.
-  static LockEntry* EntryFor(Shard& shard, ObjectId oid);
   // Raises *released_at to oid's early-release LSN, if it has one. Caller
   // holds the shard mutex.
   static void NoteEarlyRelease(const Shard& shard, ObjectId oid,
                                Lsn* released_at);
-  // Drops oid's entry from the table if its queue is empty, parking it as
-  // a spare. Caller holds the shard mutex.
-  static void PruneIfEmpty(Shard& shard, EntryMap::iterator it);
 
-  // Removes txn's pending request from entry — an upgrade reverts to its
-  // originally held mode, a fresh request is erased — then re-grants and
-  // prunes the entry if empty. The single exit path shared by timeout
-  // and deadlock-victim cancellation, so neither can leave
-  // a strengthened waiter or an empty entry behind. Caller holds the
-  // shard mutex.
-  void WithdrawRequest(Shard& shard, LockEntry* entry, ObjectId oid,
-                       TxnId txn);
+  // Removes txn's pending request on oid — an upgrade reverts to its
+  // originally held mode, a fresh request is erased — then re-grants.
+  // The single exit path shared by timeout and deadlock-victim
+  // cancellation, so neither can leave a strengthened waiter behind.
+  // Caller holds the shard mutex.
+  static void WithdrawRequest(Shard& shard, ObjectId oid, TxnId txn);
 
   // Waits-for registry (kDetect only). graph_mu_ is a strict leaf: it is
   // taken while holding a shard mutex (registration, victim exit) and

@@ -80,9 +80,8 @@ void TransactionManager::OnAbandon(Transaction* txn) { Deregister(txn->id()); }
 
 void TransactionManager::OnComplete(Transaction* txn, bool committed,
                                     Lsn unstable_commit) {
-  if (completion_hook_ && txn->last_lsn_ != kInvalidLsn) {
-    completion_hook_(txn->id(), committed);
-  }
+  const bool logged = txn->last_lsn_ != kInvalidLsn;
+  if (logged && completion_hook_) completion_hook_(txn->id(), committed);
   if (ctx_.locks->history_enabled()) {
     ctx_.locks->ForgetTxn(txn->id(), txn->ever_locked_);
   }
@@ -98,6 +97,7 @@ void TransactionManager::OnComplete(Transaction* txn, bool committed,
   });
   txn->held_.Clear();
   Deregister(txn->id());
+  if (logged && released_hook_) released_hook_();
 }
 
 }  // namespace brahma

@@ -48,12 +48,17 @@ class TransactionManager {
   void WaitForTxn(TxnId id);
   void WaitForAll(const std::vector<TxnId>& ids);
 
-  // Hook invoked (synchronously, before lock release) whenever a
-  // transaction that logged a record commits or aborts; used for TRT
-  // purging (Section 4.5) and log truncation. A transaction the log never
-  // saw has no TRT tuple and pins no log, so it skips the hook.
-  void SetCompletionHook(std::function<void(TxnId, bool /*committed*/)> fn) {
-    completion_hook_ = std::move(fn);
+  // Hooks invoked synchronously whenever a transaction that logged a
+  // record commits or aborts. `on_complete` runs while it still holds its
+  // locks (TRT purging, Section 4.5); `on_released` runs once its locks
+  // are released and it is deregistered (log truncation, so that no lock
+  // waiter waits out the frees). A transaction the log never saw has no
+  // TRT tuple and pins no log, so it skips both.
+  void SetCompletionHooks(
+      std::function<void(TxnId, bool /*committed*/)> on_complete,
+      std::function<void()> on_released) {
+    completion_hook_ = std::move(on_complete);
+    released_hook_ = std::move(on_released);
   }
 
   const TxnContext& ctx() const { return ctx_; }
@@ -99,6 +104,7 @@ class TransactionManager {
 
   TxnContext ctx_;
   std::function<void(TxnId, bool)> completion_hook_;
+  std::function<void()> released_hook_;
 
   std::vector<RegistryShard> shards_;
   std::atomic<TxnId> next_id_{1};

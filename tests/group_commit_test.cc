@@ -91,18 +91,36 @@ struct ConvoyRun {
 constexpr auto kAlignForce = std::chrono::milliseconds(50);
 constexpr auto kReturnAfter = std::chrono::milliseconds(10);
 
+// The rule's inputs are fixed only if every waiter is inside ForceCommit
+// before A's first force ends; a waiter that arrived later would shrink
+// the batch shape the next flusher aligns to. So the waiters start once
+// A is elected (its batch target taken), the test waits until each has
+// hit ForceCommit's "wal:flush" site, and A's first force is kept from
+// ending for kEntryGraceMs past its device write, which leaves the force's
+// own length (last_force_) unchanged.
+constexpr uint32_t kEntryGraceMs = 200;
+
 ConvoyRun RunConvoy(std::chrono::nanoseconds work, int waiters,
                     std::chrono::nanoseconds waiter_work) {
+  FailPoints& fp = FailPoints::Instance();
+  fp.set_tracing(true);
+  FailSpec grace;
+  grace.action = FailSpec::Action::kDelay;
+  grace.delay_ms = kEntryGraceMs;
+  grace.max_triggers = 1;
+  fp.Arm("wal:group-commit:after-force", grace);
   LogManager lm(kAlignForce);
   lm.set_group_commit(true);
   std::atomic<int> ok{0};
+  std::atomic<bool> a_first_done{false};
   const Lsn a1 = lm.Append(MakeRecord());
   std::thread a([&] {
     if (lm.ForceCommit(a1, work).ok()) ++ok;
+    a_first_done = true;
     std::this_thread::sleep_for(kReturnAfter);
     if (lm.ForceCommit(lm.Append(MakeRecord()), work).ok()) ++ok;
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  while (lm.group_commit_batches() == 0) std::this_thread::yield();
   std::vector<Lsn> lsns;
   for (int i = 0; i < waiters; ++i) lsns.push_back(lm.Append(MakeRecord()));
   std::vector<std::thread> others;
@@ -111,6 +129,10 @@ ConvoyRun RunConvoy(std::chrono::nanoseconds work, int waiters,
       if (lm.ForceCommit(lsn, waiter_work).ok()) ++ok;
     });
   }
+  while (fp.hits("wal:flush") < static_cast<uint64_t>(1 + waiters)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(a_first_done.load());  // every waiter arrived in time
   a.join();
   for (std::thread& t : others) t.join();
   EXPECT_EQ(ok.load(), 2 + waiters);

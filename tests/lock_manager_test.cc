@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -29,6 +31,30 @@ int64_t ElapsedMs(std::chrono::steady_clock::time_point since) {
 
 const ObjectId kObj(1, 64);
 const ObjectId kObj2(1, 128);
+
+// `n` distinct objects that share one lock-table shard.
+std::vector<ObjectId> SameShardObjects(size_t n) {
+  auto shard = [](ObjectId oid) {
+    return ObjectIdHash{}(oid) % LockManager::kNumShards;
+  };
+  std::vector<ObjectId> out{kObj};
+  for (uint64_t off = 128; out.size() < n; off += 64) {
+    if (shard(ObjectId(1, off)) == shard(kObj)) out.emplace_back(1, off);
+  }
+  return out;
+}
+
+// Starts `f` on a new thread and returns once that thread is running, so
+// a short sleep afterwards is enough for it to queue its request.
+std::thread StartThread(std::function<void()> f) {
+  std::atomic<bool> started{false};
+  std::thread t([&started, f = std::move(f)]() {
+    started.store(true);
+    f();
+  });
+  while (!started.load()) std::this_thread::yield();
+  return t;
+}
 
 TEST(LockManagerTest, SharedLocksCompatible) {
   LockManager lm;
@@ -241,6 +267,146 @@ TEST(LockManagerTest, NumLockedObjectsCleansUp) {
   EXPECT_EQ(lm.NumLockedObjects(), 2u);
   lm.Release(1, kObj);
   lm.Release(1, kObj2);
+  EXPECT_EQ(lm.NumLockedObjects(), 0u);
+}
+
+TEST(LockManagerTest, SameShardQueuesStayFifo) {
+  // A shard keeps every object's requests in one vector. Txn 9's request
+  // on b sits ahead of a's queue (holder 1, waiters 2 then 3); releasing
+  // it must not move a later request ahead of an earlier one, or a's
+  // waiters are granted out of order.
+  const std::vector<ObjectId> objs = SameShardObjects(2);
+  const ObjectId a = objs[0];
+  const ObjectId b = objs[1];
+  LockManager lm;
+  ASSERT_TRUE(lm.Acquire(9, b, LockMode::kExclusive, 100ms).ok());
+  ASSERT_TRUE(lm.Acquire(1, a, LockMode::kExclusive, 100ms).ok());
+  std::mutex order_mu;
+  std::vector<TxnId> order;
+  auto waiter = [&](TxnId txn) {
+    return [&, txn]() {
+      ASSERT_TRUE(lm.Acquire(txn, a, LockMode::kExclusive, 5000ms).ok());
+      {
+        std::lock_guard<std::mutex> g(order_mu);
+        order.push_back(txn);
+      }
+      lm.Release(txn, a);
+    };
+  };
+  std::thread t2 = StartThread(waiter(2));
+  std::this_thread::sleep_for(30ms);  // txn 2 is queued
+  std::thread t3 = StartThread(waiter(3));
+  std::this_thread::sleep_for(30ms);  // txn 3 is queued behind it
+  lm.Release(9, b);
+  lm.Release(1, a);
+  t2.join();
+  t3.join();
+  EXPECT_EQ(order, (std::vector<TxnId>{2, 3}));
+  EXPECT_EQ(lm.NumLockedObjects(), 0u);
+}
+
+TEST(LockManagerTest, SameShardWaiterWokenWhileNeighbourChurns) {
+  // A waiter on a shares its shard's condition variable with every other
+  // object there. Two transactions fighting over b wake it again and
+  // again; it must sleep through those wakeups while a is held, and the
+  // release of a alone must wake it once b has gone quiet. Timeout-only,
+  // so no detection pass wakes the waiter every grace slice.
+  const std::vector<ObjectId> objs = SameShardObjects(2);
+  const ObjectId a = objs[0];
+  const ObjectId b = objs[1];
+  LockManager lm;
+  lm.set_deadlock_policy(DeadlockPolicy::kTimeoutOnly);
+  ASSERT_TRUE(lm.Acquire(1, a, LockMode::kExclusive, 100ms).ok());
+  std::atomic<bool> got{false};
+  Status s;
+  std::thread waiter = StartThread([&]() {
+    s = lm.Acquire(2, a, LockMode::kExclusive, 5000ms);
+    got.store(true);
+  });
+  std::atomic<bool> stop{false};
+  std::atomic<int> churned{0};
+  std::vector<std::thread> churn;
+  for (TxnId txn : {3, 4}) {
+    churn.emplace_back([&, txn]() {
+      while (!stop.load()) {
+        ASSERT_TRUE(lm.Acquire(txn, b, LockMode::kExclusive, 1000ms).ok());
+        ++churned;
+        lm.Release(txn, b);
+      }
+    });
+  }
+  std::this_thread::sleep_for(50ms);
+  stop.store(true);
+  for (std::thread& t : churn) t.join();
+  EXPECT_GT(churned.load(), 0);
+  EXPECT_FALSE(got.load());  // b's grants woke it but granted nothing on a
+  const auto released = std::chrono::steady_clock::now();
+  lm.Release(1, a);
+  waiter.join();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+#ifndef BRAHMA_TEST_TSAN
+  // Woken by the release, not by its own 5 s deadline.
+  EXPECT_LT(ElapsedMs(released), 1000);
+#endif
+  lm.Release(2, a);
+  EXPECT_EQ(lm.NumLockedObjects(), 0u);
+}
+
+TEST(LockManagerTest, NumLockedObjectsCountsDistinctObjectsInOneShard) {
+  const std::vector<ObjectId> objs = SameShardObjects(3);
+  LockManager lm;
+  ASSERT_TRUE(lm.Acquire(1, objs[0], LockMode::kShared, 100ms).ok());
+  ASSERT_TRUE(lm.Acquire(2, objs[1], LockMode::kExclusive, 100ms).ok());
+  ASSERT_TRUE(lm.Acquire(3, objs[0], LockMode::kShared, 100ms).ok());
+  ASSERT_TRUE(lm.Acquire(1, objs[2], LockMode::kShared, 100ms).ok());
+  ASSERT_TRUE(lm.Acquire(2, objs[2], LockMode::kShared, 100ms).ok());
+  EXPECT_EQ(lm.NumLockedObjects(), 3u);
+  lm.Release(1, objs[0]);
+  EXPECT_EQ(lm.NumLockedObjects(), 3u);  // txn 3 still holds objs[0]
+  lm.Release(3, objs[0]);
+  EXPECT_EQ(lm.NumLockedObjects(), 2u);
+  lm.Release(2, objs[1]);
+  lm.Release(1, objs[2]);
+  lm.Release(2, objs[2]);
+  EXPECT_EQ(lm.NumLockedObjects(), 0u);
+}
+
+TEST(LockManagerTest, SameShardTwoCycleIsBroken) {
+  // Txn 1 holds a and wants b; txn 2 holds b and wants a; both objects
+  // live in one shard. The detector must find the cycle among the
+  // shard's interleaved requests and cancel exactly one side.
+  const std::vector<ObjectId> objs = SameShardObjects(2);
+  const ObjectId a = objs[0];
+  const ObjectId b = objs[1];
+  LockManager lm;
+  ASSERT_TRUE(lm.Acquire(1, a, LockMode::kExclusive, 100ms).ok());
+  ASSERT_TRUE(lm.Acquire(2, b, LockMode::kExclusive, 100ms).ok());
+  const auto start = std::chrono::steady_clock::now();
+  std::atomic<int> victims{0};
+  std::atomic<int> granted{0};
+  auto cross = [&](TxnId txn, ObjectId held, ObjectId want) {
+    Status s = lm.Acquire(txn, want, LockMode::kExclusive, 5000ms);
+    if (s.IsDeadlockVictim()) {
+      ++victims;
+      lm.Release(txn, held);  // abort path: the survivor proceeds
+      return;
+    }
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    ++granted;
+    lm.Release(txn, want);
+    lm.Release(txn, held);
+  };
+  std::thread t1(cross, 1, a, b);
+  std::thread t2(cross, 2, b, a);
+  t1.join();
+  t2.join();
+  EXPECT_EQ(victims.load(), 1);
+  EXPECT_EQ(granted.load(), 1);
+  EXPECT_EQ(lm.victims_aborted(), 1u);
+  EXPECT_GE(lm.deadlocks_detected(), 1u);
+#ifndef BRAHMA_TEST_TSAN
+  EXPECT_LT(ElapsedMs(start), 1000);
+#endif
   EXPECT_EQ(lm.NumLockedObjects(), 0u);
 }
 

@@ -33,6 +33,49 @@ TEST_F(TransactionTest, CreateLocksAndCommitsReleases) {
   EXPECT_TRUE(db_.store().Validate(oid));
 }
 
+TEST(CompletionHookTest, TruncationHookRunsAfterLocksAreReleased) {
+  // The TRT purge hook runs while the completing writer still holds its
+  // locks; the log-truncation hook runs once they are released and the
+  // writer is deregistered, so its lock waiters never wait out the frees.
+  // A transaction that logged nothing runs neither.
+  ObjectId oid;
+  TxnId id = kInvalidTxn;
+  bool held_at_complete = false;
+  bool active_at_complete = false;
+  bool held_at_released = true;
+  bool active_at_released = true;
+  int completed = 0;
+  int released = 0;
+  Database db(testing::SmallDbOptions());  // outlived by what hooks capture
+  db.txns().SetCompletionHooks(
+      [&](TxnId t, bool) {
+        ++completed;
+        held_at_complete = db.locks().IsHeld(t, oid);
+        active_at_complete = db.txns().IsActive(t);
+      },
+      [&] {
+        ++released;
+        held_at_released = db.locks().IsHeld(id, oid);
+        active_at_released = db.txns().IsActive(id);
+      });
+  auto txn = db.Begin();
+  id = txn->id();
+  ASSERT_TRUE(txn->CreateObject(1, 2, 16, &oid).ok());
+  ASSERT_TRUE(txn->Commit().ok());
+  EXPECT_EQ(completed, 1);
+  EXPECT_EQ(released, 1);
+  EXPECT_TRUE(held_at_complete);
+  EXPECT_TRUE(active_at_complete);
+  EXPECT_FALSE(held_at_released);
+  EXPECT_FALSE(active_at_released);
+
+  auto reader = db.Begin();
+  ASSERT_TRUE(reader->Lock(oid, LockMode::kShared).ok());
+  ASSERT_TRUE(reader->Commit().ok());
+  EXPECT_EQ(completed, 1);
+  EXPECT_EQ(released, 1);
+}
+
 TEST_F(TransactionTest, UpdatesRequireLocks) {
   ObjectId oid;
   {
